@@ -41,15 +41,13 @@ from .results import Outcome, SolveResult, Trajectory
 from .discrete import (
     ConvergenceCertificate,
     CyclicGraphError,
-    GuaranteeResult,
     certify,
-    guarantee_by_corollary,
-    iterate,
     solve_acyclic,
 )
 from .continuous import (
     integrate_euler,
     integrate_rk4,
+    iterate,
     rhs,
     verify_fixed_point,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "CheckReport",
     "ConvergenceCertificate",
     "CyclicGraphError",
-    "GuaranteeResult",
     "Outcome",
     "OpenMindednessBound",
     "ParseDiagnostic",
@@ -96,7 +93,6 @@ __all__ = [
     "fixture_duality_bag",
     "generate_family",
     "generate_star",
-    "guarantee_by_corollary",
     "influence",
     "integrate_euler",
     "integrate_rk4",

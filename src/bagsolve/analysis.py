@@ -161,7 +161,7 @@ def check_lipschitz_aggregation(
         s1 = [rng.random() for _ in range(n)]
         s2 = [rng.random() for _ in range(n)]
         gap = abs(aggregate(spec, v, s1) - aggregate(spec, v, s2))
-        bound = (lipschitz_aggregation(spec, v)
+        bound = (lipschitz_aggregation(spec, sum(x != 0 for x in v))
                  * max(abs(a - b) for a, b in zip(s1, s2)))
         if gap > bound + LIPSCHITZ_SLACK:
             return CheckReport(False, t + 1, {
@@ -215,14 +215,9 @@ def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
     """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength."""
     validate_spec(bag, spec)
     radii = np.array([
-        codomain_bound(spec, _sparse_parent(bag, i))
+        codomain_bound(spec, bag.indegree(i))
         * lipschitz_influence(spec, float(bag.weights[i]))
         for i in range(bag.n)
-    ]) if bag.n else np.zeros(0)
+    ], dtype=float)
     return OpenMindednessBound(bag.weights - radii, bag.weights + radii)
 
-
-def _sparse_parent(bag: Bag, i: int) -> list[int]:
-    # cheap stand-in for the full parent vector: only the count of nonzero
-    # entries matters to codomain_bound
-    return [-1] * len(bag.attackers_of(i)) + [1] * len(bag.supporters_of(i))

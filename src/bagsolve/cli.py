@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, continuous, discrete
-from .core import Bag, BagValidationError, topological_order
+from .core import Bag, topological_order
 from .io import BagParseError, parse_bag, serialize_bag, write_trajectory_csv
 from .results import Outcome, SolveResult, Trajectory
 from .semantics import (
@@ -107,9 +107,9 @@ def cmd_solve(args) -> int:
             traj.append(1.0, strengths)
             result.trajectory = traj
     elif mode == "discrete":
-        result = discrete.iterate(bag, spec, tolerance=args.tolerance,
-                                  max_iterations=args.max_iterations,
-                                  record_trajectory=want_traj)
+        result = continuous.iterate(bag, spec, tolerance=args.tolerance,
+                                    max_iterations=args.max_iterations,
+                                    record_trajectory=want_traj)
     else:
         integrator = (continuous.integrate_euler if mode == "euler"
                       else continuous.integrate_rk4)
@@ -126,7 +126,8 @@ def cmd_certify(args) -> int:
     bag = _load_bag(args.input)
     spec = _build_spec(args)
     cert = discrete.certify(bag, spec)
-    rule = discrete.guarantee_by_corollary(bag, spec)
+    # computed before printing, so a bad --epsilon prints nothing
+    bound = cert.iterations_for(args.epsilon) if cert.guaranteed else None
 
     width = _name_width(bag)
     print(f"{'argument':<{width}}  {'lambda':>10}")
@@ -134,10 +135,9 @@ def cmd_certify(args) -> int:
         print(f"{name:<{width}}  {lam:10.6f}")
     print(f"global-lambda: {cert.global_lambda:.6f}")
     print(f"guaranteed: {'yes' if cert.guaranteed else 'no'}")
-    if cert.guaranteed:
-        print(f"iterations-for({args.epsilon:g}): "
-              f"{cert.iterations_for(args.epsilon)}")
-    print(f"rule: {rule.rule} ({rule.detail})")
+    if bound is not None:
+        print(f"iterations-for({args.epsilon:g}): {bound}")
+    print(f"rule: {cert.rule}")
     return 0
 
 
@@ -237,9 +237,9 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--delta", type=float, default=continuous.DEFAULT_DELTA,
                          help="integrator step size (euler/rk4 modes)")
     p_solve.add_argument("--tolerance", type=float,
-                         default=discrete.DEFAULT_TOLERANCE)
+                         default=continuous.DEFAULT_TOLERANCE)
     p_solve.add_argument("--max-iterations", type=int,
-                         default=discrete.DEFAULT_MAX_ITERATIONS)
+                         default=continuous.DEFAULT_MAX_ITERATIONS)
     p_solve.add_argument("--t-max", type=float, default=continuous.DEFAULT_T_MAX)
     p_solve.add_argument("--trajectory", metavar="PATH",
                          help="write the visited states as CSV")
@@ -283,11 +283,9 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
         return 1
-    except (BagValidationError, SemanticsConfigError,
-            discrete.CyclicGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
+        # also covers BagValidationError, SemanticsConfigError,
+        # CyclicGraphError and undecodable input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,11 @@
-"""Discrete solving: exact acyclic evaluation, fixed-point iteration, and
-contraction certificates.
+"""Discrete solving: exact acyclic evaluation and contraction certificates.
 
 Acyclic graphs are solved exactly in one pass along a topological order.
-Cyclic graphs are iterated synchronously from the initial weights; the run
-either converges (step norm under tolerance), provably oscillates (a period-2
-cycle is detected), or exhausts its budget. When the per-argument Lipschitz
+Cyclic graphs need the iterative solvers in ``continuous`` (fixed-point
+iteration is their unit-step Euler case). When the per-argument Lipschitz
 products all stay below 1 the update map is a contraction, which yields a
-certificate with an a-priori iteration count for any target accuracy.
+certificate with an a-priori iteration count for any target accuracy; the
+certificate also names the cheap max-indegree rule that covers it, if any.
 """
 from __future__ import annotations
 
@@ -17,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .core import Bag, max_indegree, topological_order
-from .results import Outcome, SolveResult, Trajectory
 from .semantics import (
     CONSTANT,
     EULER,
@@ -28,31 +26,15 @@ from .semantics import (
     TOP,
     SemanticsSpec,
     _AGG_FUNCS,
-    _lipschitz_aggregation_by_indegree,
     influence,
+    lipschitz_aggregation,
     lipschitz_influence,
-    update,
     validate_spec,
 )
-
-DEFAULT_TOLERANCE = 1e-4
-DEFAULT_MAX_ITERATIONS = 100_000
-
-# Two sampled states this close (max-norm) count as the same state when
-# looking for period-2 oscillation.
-CYCLE_EPS = 1e-9
-# A reported cycle must swing well above the state-match threshold, or a
-# slowly converging oscillation would be misread as divergence when the run
-# tolerance is tighter than CYCLE_EPS.
-CYCLE_MIN_AMPLITUDE = 1e-7
 
 
 class CyclicGraphError(ValueError):
     """Single-pass evaluation was asked for a graph with cycles."""
-
-
-def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0
 
 
 def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
@@ -61,7 +43,7 @@ def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
     Each argument is evaluated once, after all of its parents are final, so
     the result is the exact limit of the update iteration in O(n + edges).
     Raises CyclicGraphError when the graph has a cycle; use iterate or one of
-    the integrators in that case.
+    the integrators in ``continuous`` in that case.
     """
     validate_spec(bag, spec)
     order = topological_order(bag)
@@ -78,58 +60,6 @@ def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
     return np.asarray(values)
 
 
-def _two_cycle(current: np.ndarray, previous: np.ndarray,
-               two_back: Optional[np.ndarray], tolerance: float) -> bool:
-    if two_back is None:
-        return False
-    amplitude = max(tolerance, CYCLE_MIN_AMPLITUDE)
-    return (_max_abs_diff(current, two_back) <= CYCLE_EPS
-            and _max_abs_diff(current, previous) > amplitude)
-
-
-def iterate(
-    bag: Bag,
-    spec: SemanticsSpec,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    record_trajectory: bool = True,
-) -> SolveResult:
-    """Iterate the update map from the initial weights.
-
-    Converges when one step moves no coordinate by more than ``tolerance``.
-    Divergence is reported when the state returns to within 1e-9 of the state
-    two steps earlier while still moving more than ``tolerance`` per step
-    (period-2 oscillation, the observed failure mode); longer cycles run into
-    the iteration budget instead.
-    """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    validate_spec(bag, spec)
-
-    state = bag.weights.copy()
-    trajectory = Trajectory()
-    if record_trajectory:
-        trajectory.append(0.0, state)
-    two_back: Optional[np.ndarray] = None
-
-    for k in range(1, max_iterations + 1):
-        nxt = update(bag, spec, state)
-        if record_trajectory:
-            trajectory.append(float(k), nxt)
-        if _max_abs_diff(nxt, state) <= tolerance:
-            return SolveResult(Outcome.CONVERGED, nxt, k,
-                               trajectory=trajectory if record_trajectory else None)
-        if _two_cycle(nxt, state, two_back, tolerance):
-            return SolveResult(Outcome.DIVERGED, nxt, k,
-                               divergence_evidence=(state, nxt),
-                               trajectory=trajectory if record_trajectory else None)
-        two_back = state
-        state = nxt
-
-    return SolveResult(Outcome.BUDGET_EXHAUSTED, state, max_iterations,
-                       trajectory=trajectory if record_trajectory else None)
-
-
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     """Per-argument contraction factors of the update map.
@@ -138,11 +68,18 @@ class ConvergenceCertificate:
     indegree) and the influence constant for that argument's weight. When the
     maximum stays below 1 the map is a contraction: the fixed point is unique
     and ``iterations_for(eps)`` update steps provably land within eps of it.
+
+    ``rule`` names what guarantees convergence: a max-indegree rule
+    (``"constant-influence"``, ``"top+euler"`` or
+    ``"indegree:<aggregation>+<influence>"``) when one applies,
+    ``"contraction"`` when only the per-argument products do, and ``"none"``
+    when nothing is guaranteed (the run may still converge).
     """
 
     per_argument_lambda: np.ndarray
     global_lambda: float
     guaranteed: bool
+    rule: str
 
     def iterations_for(self, epsilon: float) -> int:
         """Smallest iteration count guaranteed to reach the fixed point
@@ -160,71 +97,35 @@ class ConvergenceCertificate:
         return math.floor(math.log(epsilon) / math.log(self.global_lambda)) + 1
 
 
+def _indegree_rule(spec: SemanticsSpec, d: int) -> Optional[str]:
+    # The max-indegree corollaries: each bounds every per-argument lambda by
+    # d times the influence constant, so they only name cases that the
+    # certificate decides anyway.
+    if spec.influence == CONSTANT:
+        return "constant-influence"
+    if (spec.aggregation, spec.influence) == (TOP, EULER):
+        return "top+euler"
+    limit = {
+        (PRODUCT, LINEAR): spec.kappa,
+        (PRODUCT, EULER): 4.0,
+        (PRODUCT, PMAX): spec.kappa / spec.p,
+        (SUM, PMAX): spec.kappa / spec.p,
+    }.get((spec.aggregation, spec.influence))
+    if limit is not None and d < limit:
+        return f"indegree:{spec.aggregation}+{spec.influence}"
+    return None
+
+
 def certify(bag: Bag, spec: SemanticsSpec) -> ConvergenceCertificate:
     """Compute the contraction certificate for (bag, spec)."""
     validate_spec(bag, spec)
     lams = np.array([
-        _lipschitz_aggregation_by_indegree(spec, bag.indegree(i))
+        lipschitz_aggregation(spec, bag.indegree(i))
         * lipschitz_influence(spec, float(bag.weights[i]))
         for i in range(bag.n)
-    ]) if bag.n else np.zeros(0)
-    global_lambda = float(lams.max()) if bag.n else 0.0
-    return ConvergenceCertificate(lams, global_lambda, global_lambda < 1.0)
-
-
-@dataclass(frozen=True)
-class GuaranteeResult:
-    guaranteed: bool
-    rule: str
-    detail: str
-
-
-def guarantee_by_corollary(bag: Bag, spec: SemanticsSpec) -> GuaranteeResult:
-    """Cheap convergence guarantees from the max indegree, with fallback.
-
-    Tries the named indegree rules for the aggregation/influence pair first
-    (strict bounds relax to non-strict when every weight is strictly inside
-    (0,1)), then falls back to the general per-argument contraction check.
-    Never claims divergence — an unknown result just means no rule applied.
-    """
-    d = max_indegree(bag)
-    strict_weights = bool(np.all((bag.weights > 0.0) & (bag.weights < 1.0)))
-
-    def bounded(limit: float, rule: str, what: str) -> Optional[GuaranteeResult]:
-        if d < limit or (strict_weights and d <= limit):
-            cmp = "<" if d < limit else "<= (weights strictly inside (0,1))"
-            return GuaranteeResult(True, rule, f"max indegree {d} {cmp} {what}")
-        return None
-
-    hit: Optional[GuaranteeResult] = None
-    if spec.influence == CONSTANT:
-        hit = GuaranteeResult(True, "constant-influence",
-                              "constant influence never moves the weights")
-    elif spec.aggregation == PRODUCT and spec.influence == LINEAR:
-        hit = bounded(spec.kappa, "indegree:product+linear",
-                      f"kappa = {spec.kappa:g}")
-    elif spec.aggregation == PRODUCT and spec.influence == EULER:
-        # The quarter-slope of the euler influence caps the product at D/4;
-        # stated via the general rule because this influence has no kappa.
-        if d < 4:
-            hit = GuaranteeResult(True, "indegree:product+euler",
-                                  f"max indegree {d} < 4")
-    elif spec.aggregation in (PRODUCT, SUM) and spec.influence == PMAX:
-        hit = bounded(spec.kappa / spec.p,
-                      f"indegree:{spec.aggregation}+pmax",
-                      f"kappa/p = {spec.kappa / spec.p:g}")
-    elif spec.aggregation == TOP and spec.influence == EULER:
-        hit = GuaranteeResult(True, "top+euler",
-                              "top aggregation slope <= 2 and influence "
-                              "slope 1/4 give a product <= 1/2")
-    if hit is not None:
-        return hit
-
-    cert = certify(bag, spec)
-    if cert.guaranteed:
-        return GuaranteeResult(True, "contraction",
-                               f"Lipschitz product {cert.global_lambda:g} < 1")
-    return GuaranteeResult(False, "none",
-                           f"no rule applies (Lipschitz product "
-                           f"{cert.global_lambda:g} >= 1); the run may still "
-                           f"converge")
+    ], dtype=float)
+    global_lambda = float(lams.max(initial=0.0))
+    guaranteed = global_lambda < 1.0
+    rule = ((_indegree_rule(spec, max_indegree(bag)) or "contraction")
+            if guaranteed else "none")
+    return ConvergenceCertificate(lams, global_lambda, guaranteed, rule)

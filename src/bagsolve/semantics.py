@@ -226,13 +226,8 @@ def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # analytic constants
 
-def lipschitz_aggregation(spec: SemanticsSpec, v: Sequence[int]) -> float:
-    """Max-norm Lipschitz constant of the aggregation for parent vector ``v``."""
-    indegree = sum(1 for x in v if x != 0)
-    return _lipschitz_aggregation_by_indegree(spec, indegree)
-
-
-def _lipschitz_aggregation_by_indegree(spec: SemanticsSpec, indegree: int) -> float:
+def lipschitz_aggregation(spec: SemanticsSpec, indegree: int) -> float:
+    """Max-norm Lipschitz constant of the aggregation over ``indegree`` parents."""
     if spec.aggregation == TOP:
         return float(min(2, indegree))
     return float(indegree)
@@ -249,13 +244,8 @@ def lipschitz_influence(spec: SemanticsSpec, w: float) -> float:
     return 0.0  # constant
 
 
-def codomain_bound(spec: SemanticsSpec, v: Sequence[int]) -> float:
-    """Bound B with aggregation values in [-B, B] for parent vector ``v``."""
-    indegree = sum(1 for x in v if x != 0)
-    return _codomain_bound_by_indegree(spec, indegree)
-
-
-def _codomain_bound_by_indegree(spec: SemanticsSpec, indegree: int) -> float:
+def codomain_bound(spec: SemanticsSpec, indegree: int) -> float:
+    """Bound B with aggregation values in [-B, B] over ``indegree`` parents."""
     if indegree == 0:
         return 0.0
     if spec.aggregation == SUM:
@@ -273,7 +263,7 @@ def validate_spec(bag: Bag, spec: SemanticsSpec) -> None:
     if spec.influence != LINEAR:
         return
     for i in range(bag.n):
-        bound = _codomain_bound_by_indegree(spec, bag.indegree(i))
+        bound = codomain_bound(spec, bag.indegree(i))
         if bound > spec.kappa:
             raise SemanticsConfigError(
                 f"linear influence with kappa={spec.kappa:g} cannot absorb "

@@ -129,6 +129,40 @@ class TestSolve:
         assert first == second
 
 
+class TestBadInput:
+    """Inputs that must end in a one-line error and exit 1, not a traceback."""
+
+    def test_directory_path(self, tmp_path, capsys):
+        assert cli.main(["solve", str(tmp_path), "--semantics", "dfq"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.bag"
+        path.write_bytes("arg(\xe4,0.5).\n".encode("latin-1"))
+        assert cli.main(["solve", str(path), "--semantics", "dfq"]) == 1
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_zero_tolerance(self, family_file, capsys):
+        code = cli.main(["solve", family_file, "--semantics", "qe",
+                         "--tolerance", "0"])
+        assert code == 1
+        assert "tolerance must be positive" in capsys.readouterr().err
+
+    def test_zero_delta(self, family_file, capsys):
+        code = cli.main(["solve", family_file, "--semantics", "qe",
+                         "--delta", "0"])
+        assert code == 1
+        assert "step size must be positive" in capsys.readouterr().err
+
+    def test_epsilon_outside_unit_interval(self, star_file, capsys):
+        code = cli.main(["certify", star_file, "--semantics", "qe",
+                         "--kappa", "5", "--epsilon", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "epsilon must be in (0, 1)" in captured.err
+        assert captured.out == ""
+
+
 class TestCertify:
     def test_star_bound(self, star_file, capsys):
         code = cli.main(["certify", star_file, "--semantics", "qe",
@@ -138,6 +172,7 @@ class TestCertify:
         assert "global-lambda: 0.360000" in out
         assert "guaranteed: yes" in out
         assert "iterations-for(1e-06): 14" in out
+        assert "rule: indegree:sum+pmax" in out
 
     def test_family_not_guaranteed(self, family_file, capsys):
         code = cli.main(["certify", family_file, "--semantics", "qe",
@@ -147,6 +182,7 @@ class TestCertify:
         assert "global-lambda: 3.600000" in out
         assert "guaranteed: no" in out
         assert "iterations-for" not in out
+        assert "rule: none" in out
 
     def test_edgeless(self, tmp_path, capsys):
         path = tmp_path / "one.bag"

@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import bagsolve.continuous
 from bagsolve import (
     Bag,
     Outcome,
     SemanticsSpec,
+    SolveResult,
+    Trajectory,
     certify,
     dfq,
+    euler_semantics,
+    fixture_duality_bag,
     generate_family,
+    generate_star,
     integrate_euler,
     integrate_rk4,
     iterate,
@@ -20,6 +26,34 @@ from bagsolve import (
 from conftest import bags, random_bag, specs
 
 FAMILY = generate_family(1, 0.9, 0.1)
+
+
+def assert_same_result(a: SolveResult, b: SolveResult) -> None:
+    assert a.outcome is b.outcome
+    assert a.effort == b.effort
+    assert np.array_equal(a.strengths, b.strengths)
+    assert (a.divergence_evidence is None) == (b.divergence_evidence is None)
+    if a.divergence_evidence is not None:
+        for x, y in zip(a.divergence_evidence, b.divergence_evidence):
+            assert np.array_equal(x, y)
+    assert a.trajectory.times == b.trajectory.times
+    assert len(a.trajectory.states) == len(b.trajectory.states)
+    for x, y in zip(a.trajectory.states, b.trajectory.states):
+        assert np.array_equal(x, y)
+
+
+@pytest.fixture
+def update_calls(monkeypatch):
+    """Records the state of every update the solvers make."""
+    calls = []
+    real = bagsolve.continuous.update
+
+    def counted(bag, spec, s):
+        calls.append(s)
+        return real(bag, spec, s)
+
+    monkeypatch.setattr(bagsolve.continuous, "update", counted)
+    return calls
 
 
 class TestRhs:
@@ -45,26 +79,32 @@ class TestEuler:
         assert integrate_euler(FAMILY, spec, delta=0.9).outcome is Outcome.DIVERGED
         assert integrate_euler(FAMILY, spec, delta=0.5).outcome is Outcome.CONVERGED
 
-    @pytest.mark.parametrize("spec", [dfq(1.0), dfq(1.9), qe(1.0), qe(2.1)])
+    @pytest.mark.parametrize("spec", [
+        dfq(1.0), dfq(1.9), qe(1.0), qe(2.1),
+        euler_semantics(), SemanticsSpec("top", "pmax", kappa=0.5, p=3),
+    ])
     @pytest.mark.parametrize("bag", [
         FAMILY,
         generate_family(2, 0.3, 0.8),
         pytest.param(None, id="duality-fixture"),
+        generate_family(3, 0.9, 0.1),
+        generate_star(3, 0.9, 0.9),
+        random_bag(np.random.default_rng(5), n_max=8),
     ])
     def test_unit_step_bitmatches_discrete_iteration(self, bag, spec):
         if bag is None:
-            from bagsolve import fixture_duality_bag
             bag = fixture_duality_bag()
-        discrete = iterate(bag, spec, max_iterations=2000)
-        euler = integrate_euler(bag, spec, delta=1.0, t_max=2000)
-        d_states = discrete.trajectory.states
-        e_states = euler.trajectory.states
-        # the euler run checks the derivative before stepping, so a converged
-        # run stops one state earlier than the discrete loop
-        assert len(e_states) in (len(d_states), len(d_states) - 1)
-        for ds, es in zip(d_states, e_states):
-            assert np.array_equal(ds, es)
-        assert discrete.outcome is euler.outcome
+        for budget in (1, 2, 5, 2000):
+            discrete = iterate(bag, spec, max_iterations=budget)
+            euler = integrate_euler(bag, spec, delta=1.0, t_max=budget)
+            if discrete.converged:
+                # iterate also reports the update it converged on; the euler
+                # run checks the derivative before stepping and stops there
+                traj = discrete.trajectory
+                discrete = SolveResult(
+                    Outcome.CONVERGED, traj.states[-2], discrete.effort - 1,
+                    trajectory=Trajectory(traj.times[:-1], traj.states[:-1]))
+            assert_same_result(discrete, euler)
 
     def test_already_at_fixed_point_converges_immediately(self):
         bag = Bag(["a", "b"], [0.35, 0.65])
@@ -118,6 +158,27 @@ class TestRk4:
             assert np.all(state >= 0.0) and np.all(state <= 1.0)
         if result.outcome is Outcome.CONVERGED:
             assert verify_fixed_point(bag, spec, result.strengths, 10 * 1e-4)
+
+
+class TestSolverLoop:
+    @pytest.mark.parametrize("bag", [FAMILY, Bag(["a"], [0.5])])
+    def test_zero_budget_makes_no_update(self, bag, update_calls):
+        for result in (iterate(bag, qe(1.0), max_iterations=0),
+                       integrate_euler(bag, qe(1.0), t_max=0),
+                       integrate_rk4(bag, qe(1.0), t_max=0)):
+            # checked before any work, even on a state that is already fixed
+            assert result.outcome is Outcome.BUDGET_EXHAUSTED
+            assert result.effort == 0
+            assert result.strengths.tolist() == bag.weights.tolist()
+        assert update_calls == []
+
+    def test_converged_rk4_makes_four_updates_per_step_plus_one(
+            self, update_calls):
+        result = integrate_rk4(FAMILY, qe(1.0), delta=0.1)
+        assert result.outcome is Outcome.CONVERGED
+        steps = len(result.trajectory) - 1
+        assert steps > 0
+        assert len(update_calls) == 4 * steps + 1
 
 
 class TestVerifyFixedPoint:

@@ -12,7 +12,6 @@ from bagsolve import (
     euler_semantics,
     generate_family,
     generate_star,
-    guarantee_by_corollary,
     iterate,
     qe,
     solve_acyclic,
@@ -161,54 +160,66 @@ class TestCertify:
 
 
 class TestGuaranteeByCorollary:
+    """The rule labels that certify puts on its certificate."""
+
     def test_family_dfq_kappa_one_is_unknown(self):
-        result = guarantee_by_corollary(FAMILY, dfq(1.0))
+        result = certify(FAMILY, dfq(1.0))
         assert not result.guaranteed
         assert result.rule == "none"
 
     def test_sum_pmax_indegree_rule(self):
         bag = Bag(["a", "b", "c"], [0.5, 0.4, 0.6],
                   attacks={(0, 2), (1, 2)})
-        result = guarantee_by_corollary(bag, qe(5.0))
+        result = certify(bag, qe(5.0))
         assert result.guaranteed
         assert result.rule == "indegree:sum+pmax"
 
     def test_relaxed_bound_needs_interior_weights(self):
-        spec = SemanticsSpec("sum", "pmax", kappa=4.0, p=2)  # kappa/p == 2
+        # max indegree == kappa/p: no named rule, the products decide
+        spec = SemanticsSpec("sum", "pmax", kappa=4.0, p=2)
         interior = Bag(["a", "b"], [0.5, 0.5],
                        attacks={(0, 1), (1, 0)}, supports={(0, 0), (1, 1)})
-        assert guarantee_by_corollary(interior, spec).guaranteed
+        assert certify(interior, spec).rule == "contraction"
         extreme = Bag(["a", "b"], [1.0, 0.5],
                       attacks={(0, 1), (1, 0)}, supports={(0, 0), (1, 1)})
-        assert not guarantee_by_corollary(extreme, spec).guaranteed
+        assert certify(extreme, spec).rule == "none"
+
+    def test_subnormal_weight_is_not_interior(self):
+        # 1 - 5e-324 rounds to 1.0, so the Lipschitz product reaches 1
+        bag = Bag(["a", "b"], [5e-324, 0.5],
+                  attacks={(0, 1), (1, 0)}, supports={(0, 0), (1, 1)})
+        result = certify(bag, SemanticsSpec("sum", "pmax", kappa=4, p=2))
+        assert result.global_lambda == 1.0
+        assert not result.guaranteed
+        assert result.rule == "none"
 
     def test_product_euler_indegree_rule(self):
         spec = SemanticsSpec("product", "euler")
-        result = guarantee_by_corollary(FAMILY, spec)
+        result = certify(FAMILY, spec)
         assert result.guaranteed
         assert result.rule == "indegree:product+euler"
 
     def test_top_euler_always_guaranteed(self):
-        result = guarantee_by_corollary(FAMILY, SemanticsSpec("top", "euler"))
+        result = certify(FAMILY, SemanticsSpec("top", "euler"))
         assert result.guaranteed
         assert result.rule == "top+euler"
 
     def test_constant_influence_trivially_guaranteed(self):
-        result = guarantee_by_corollary(FAMILY, SemanticsSpec("sum", "constant"))
+        result = certify(FAMILY, SemanticsSpec("sum", "constant"))
         assert result.guaranteed
+        assert result.rule == "constant-influence"
 
     def test_general_contraction_fallback(self):
-        result = guarantee_by_corollary(FAMILY, SemanticsSpec("top", "pmax",
-                                                              kappa=5.0, p=2))
+        result = certify(FAMILY, SemanticsSpec("top", "pmax", kappa=5.0, p=2))
         assert result.guaranteed
         assert result.rule == "contraction"
 
     @given(bags(), specs())
     def test_corollary_never_contradicts_certificate(self, bag, spec):
-        # a named rule may only fire when the general certificate also holds
-        result = guarantee_by_corollary(bag, spec)
-        if result.guaranteed:
-            assert certify(bag, spec).global_lambda < 1.0 or bag.n == 0
+        # a rule is named exactly when convergence is guaranteed
+        result = certify(bag, spec)
+        assert (result.rule != "none") == result.guaranteed
+        assert result.guaranteed == (result.global_lambda < 1.0)
 
 
 class TestContractionBound:
