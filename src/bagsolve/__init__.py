@@ -13,6 +13,7 @@ from .core import (
     BagValidationError,
     max_indegree,
     parent_vector,
+    topological_levels,
     topological_order,
 )
 from .io import (
@@ -35,6 +36,7 @@ from .semantics import (
     lipschitz_influence,
     qe,
     update,
+    update_rows,
     validate_spec,
 )
 from .results import Outcome, SolveResult, Trajectory
@@ -107,8 +109,10 @@ __all__ = [
     "rhs",
     "serialize_bag",
     "solve_acyclic",
+    "topological_levels",
     "topological_order",
     "update",
+    "update_rows",
     "validate_spec",
     "verify_fixed_point",
 ]

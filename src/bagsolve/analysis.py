@@ -214,10 +214,7 @@ class OpenMindednessBound:
 def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
     """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength."""
     validate_spec(bag, spec)
-    radii = np.array([
-        codomain_bound(spec, bag.indegree(i))
-        * lipschitz_influence(spec, float(bag.weights[i]))
-        for i in range(bag.n)
-    ], dtype=float)
+    radii = (codomain_bound(spec, np.diff(bag.indptr))
+             * lipschitz_influence(spec, bag.weights))
     return OpenMindednessBound(bag.weights - radii, bag.weights + radii)
 

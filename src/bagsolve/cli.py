@@ -45,6 +45,14 @@ def _add_semantics_flags(p: argparse.ArgumentParser) -> None:
                    help="exponent of the pmax influence (default 2)")
 
 
+def _epsilon(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"epsilon must be in (0, 1), got {value:g}")
+    return value
+
+
 def _build_spec(args) -> SemanticsSpec:
     if args.semantics != "custom":
         preset = PRESETS[args.semantics]
@@ -126,17 +134,15 @@ def cmd_certify(args) -> int:
     bag = _load_bag(args.input)
     spec = _build_spec(args)
     cert = discrete.certify(bag, spec)
-    # computed before printing, so a bad --epsilon prints nothing
-    bound = cert.iterations_for(args.epsilon) if cert.guaranteed else None
-
     width = _name_width(bag)
     print(f"{'argument':<{width}}  {'lambda':>10}")
     for name, lam in zip(bag.names, cert.per_argument_lambda):
         print(f"{name:<{width}}  {lam:10.6f}")
     print(f"global-lambda: {cert.global_lambda:.6f}")
     print(f"guaranteed: {'yes' if cert.guaranteed else 'no'}")
-    if bound is not None:
-        print(f"iterations-for({args.epsilon:g}): {bound}")
+    if cert.guaranteed:
+        print(f"iterations-for({args.epsilon:g}): "
+              f"{cert.iterations_for(args.epsilon)}")
     print(f"rule: {cert.rule}")
     return 0
 
@@ -249,8 +255,9 @@ def build_parser() -> _Parser:
                                             "iteration bound")
     p_cert.add_argument("input", help="BAG file ('-' for stdin)")
     _add_semantics_flags(p_cert)
-    p_cert.add_argument("--epsilon", type=float, default=1e-6,
-                        help="target accuracy for the iteration bound")
+    p_cert.add_argument("--epsilon", type=_epsilon, default=1e-6,
+                        help="target accuracy for the iteration bound, "
+                             "in (0, 1)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_gen = sub.add_parser("generate", help="emit benchmark BAG files")
@@ -276,7 +283,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # a usage error (1) or --help (0): return the code like every
+        # other outcome instead of leaving the caller's process
+        return exc.code
     try:
         return args.func(args)
     except BagParseError as exc:

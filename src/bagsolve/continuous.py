@@ -59,7 +59,10 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     tolerance), the budget (t_k >= budget, before any work), then makes one
     update, stops when it moves no coordinate of x_k by more than the
     tolerance, and otherwise steps. A converged run reports x_k at t_k, or,
-    with ``report_update``, the stepped state at t_{k+1}.
+    with ``report_update``, the stepped state at t_{k+1}. A step that leaves
+    an unconverged x_k bit-for-bit unchanged (a step size too small to move
+    it) ends the run as budget-exhausted at t_k: the loop is deterministic,
+    so it could never leave that state.
     """
     if not dt > 0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -90,8 +93,10 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
         converged = np.abs(updated - state).max(initial=0.0) <= tolerance
         if converged and not report_update:
             return finish(Outcome.CONVERGED)
-        two_back, previous = previous, state
-        state = np.clip(step(state, updated), 0.0, 1.0)
+        stepped = np.clip(step(state, updated), 0.0, 1.0)
+        if not converged and np.array_equal(stepped, state):
+            return finish(Outcome.BUDGET_EXHAUSTED)
+        two_back, previous, state = previous, state, stepped
         steps += 1
         if trajectory is not None:
             trajectory.append(steps * dt, state)

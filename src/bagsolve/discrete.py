@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Bag, max_indegree, topological_order
+from .core import Bag, max_indegree, topological_levels
 from .semantics import (
     CONSTANT,
     EULER,
@@ -25,10 +25,9 @@ from .semantics import (
     SUM,
     TOP,
     SemanticsSpec,
-    _AGG_FUNCS,
-    influence,
     lipschitz_aggregation,
     lipschitz_influence,
+    update_rows,
     validate_spec,
 )
 
@@ -40,24 +39,23 @@ class CyclicGraphError(ValueError):
 def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
     """Exact strengths for an acyclic BAG in one topological pass.
 
-    Each argument is evaluated once, after all of its parents are final, so
-    the result is the exact limit of the update iteration in O(n + edges).
-    Raises CyclicGraphError when the graph has a cycle; use iterate or one of
-    the integrators in ``continuous`` in that case.
+    Each topological level is evaluated once, with one update kernel call,
+    after all of its parents are final, so the result is the exact limit of
+    the update iteration in O(n + edges). Raises CyclicGraphError when the
+    graph has a cycle; use iterate or one of the integrators in
+    ``continuous`` in that case.
     """
     validate_spec(bag, spec)
-    order = topological_order(bag)
-    if order is None:
+    levels = topological_levels(bag)
+    if levels is None:
         raise CyclicGraphError(
             "graph contains a cycle; single-pass evaluation only works on "
             "acyclic graphs — use the iterative or continuous solvers"
         )
-    agg = _AGG_FUNCS[spec.aggregation]
-    values = bag.weights.tolist()
-    for i in order:
-        a = agg(bag.attackers_of(i), bag.supporters_of(i), values)
-        values[i] = influence(spec, float(bag.weights[i]), a)
-    return np.asarray(values)
+    values = bag.weights.copy()
+    for rows in levels:
+        values[rows] = update_rows(bag, spec, values, rows)
+    return values
 
 
 @dataclass(frozen=True)
@@ -84,13 +82,13 @@ class ConvergenceCertificate:
     def iterations_for(self, epsilon: float) -> int:
         """Smallest iteration count guaranteed to reach the fixed point
         within ``epsilon`` (max-norm), valid only for certified runs."""
+        if not 0.0 < epsilon < 1.0:
+            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         if not self.guaranteed:
             raise ValueError(
                 "no contraction certificate: the Lipschitz product reaches "
                 f"{self.global_lambda:g} >= 1, so no iteration bound exists"
             )
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         if self.global_lambda == 0.0:
             return 1
         # smallest integer strictly greater than log(eps)/log(lambda)
@@ -119,11 +117,8 @@ def _indegree_rule(spec: SemanticsSpec, d: int) -> Optional[str]:
 def certify(bag: Bag, spec: SemanticsSpec) -> ConvergenceCertificate:
     """Compute the contraction certificate for (bag, spec)."""
     validate_spec(bag, spec)
-    lams = np.array([
-        lipschitz_aggregation(spec, bag.indegree(i))
-        * lipschitz_influence(spec, float(bag.weights[i]))
-        for i in range(bag.n)
-    ], dtype=float)
+    lams = (lipschitz_aggregation(spec, np.diff(bag.indptr))
+            * lipschitz_influence(spec, bag.weights))
     global_lambda = float(lams.max(initial=0.0))
     guaranteed = global_lambda < 1.0
     rule = ((_indegree_rule(spec, max_indegree(bag)) or "contraction")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence, Union
 
+import numpy as np
+
 from .core import Bag
 from .results import Trajectory
 
@@ -156,9 +158,15 @@ def serialize_bag(bag: Bag) -> str:
     Weights use Python's shortest round-trip representation, so full double
     precision survives the trip.
     """
-    lines = [f"arg({name},{w!r})." for name, w in zip(bag.names, bag.weights.tolist())]
-    lines += [f"att({bag.names[u]},{bag.names[v]})." for u, v in sorted(bag.attacks)]
-    lines += [f"sup({bag.names[u]},{bag.names[v]})." for u, v in sorted(bag.supports)]
+    names = bag.names
+    lines = [f"arg({name},{w!r})." for name, w in zip(names, bag.weights.tolist())]
+    targets = bag.targets()
+    for kind, sign in (("att", -1.0), ("sup", 1.0)):
+        mask = bag.sign == sign
+        src, tgt = bag.src[mask], targets[mask]
+        order = np.lexsort((tgt, src))  # by source, then target
+        lines += [f"{kind}({names[u]},{names[v]})."
+                  for u, v in zip(src[order].tolist(), tgt[order].tolist())]
     return "\n".join(lines) + "\n"
 
 

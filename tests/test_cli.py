@@ -162,6 +162,26 @@ class TestBadInput:
         assert "epsilon must be in (0, 1)" in captured.err
         assert captured.out == ""
 
+    def test_epsilon_outside_unit_interval_without_certificate(
+            self, family_file, capsys):
+        # refused at argument parsing, before certify decides anything
+        code = cli.main(["certify", family_file, "--semantics", "qe",
+                         "--epsilon", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "epsilon must be in (0, 1)" in captured.err
+        assert captured.out == ""
+
+    def test_step_too_small_to_move_the_state(self, family_file):
+        # 0.9 + 1e-300 * k rounds back to 0.9, so the run can never reach
+        # t_max or converge; it must stop instead of looping forever
+        proc = subprocess.run(
+            [sys.executable, "-m", "bagsolve.cli", "solve", family_file,
+             "--semantics", "qe", "--delta", "1e-300"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "outcome: budget-exhausted" in proc.stdout
+
 
 class TestCertify:
     def test_star_bound(self, star_file, capsys):

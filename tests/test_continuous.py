@@ -181,6 +181,15 @@ class TestSolverLoop:
         assert len(update_calls) == 4 * steps + 1
 
 
+    @pytest.mark.parametrize("integrator", [integrate_euler, integrate_rk4])
+    def test_step_that_cannot_move_the_state_ends_the_run(self, integrator):
+        result = integrator(FAMILY, qe(1.0), delta=1e-300)
+        assert result.outcome is Outcome.BUDGET_EXHAUSTED
+        assert result.effort == 0.0
+        assert result.strengths.tolist() == FAMILY.weights.tolist()
+        assert len(result.trajectory) == 1
+
+
 class TestVerifyFixedPoint:
     def test_rk4_limit_is_a_fixed_point(self):
         result = integrate_rk4(FAMILY, qe(1.0))

@@ -136,3 +136,67 @@ class TestValidation:
         bag = Bag(["a"], [0.5])
         with pytest.raises(ValueError):
             bag.weights[0] = 0.7
+
+
+class TestRepresentation:
+    """The CSR arrays are the only edge storage; every view derives from them."""
+
+    EDGES = dict(attacks=[(0, 2), (3, 2), (1, 1), (2, 0)],
+                 supports=[(1, 2), (0, 3), (3, 3)])
+
+    def build(self, attacks, supports):
+        return Bag(["a", "b", "c", "d"], [0.1, 0.2, 0.3, 0.4],
+                   attacks=attacks, supports=supports)
+
+    def test_edge_list_form_does_not_matter(self):
+        attacks, supports = self.EDGES["attacks"], self.EDGES["supports"]
+        reference = self.build(attacks, supports)
+        variants = [
+            (attacks[::-1], supports[::-1]),                 # permuted
+            (attacks + attacks[:2], supports * 3),           # duplicated
+            ((e for e in attacks), (e for e in supports)),   # generators
+            (set(attacks), frozenset(supports)),
+            (np.array(attacks), np.array(supports)),
+        ]
+        for att, sup in variants:
+            bag = self.build(att, sup)
+            assert bag == reference
+            assert hash(bag) == hash(reference)
+
+    def test_different_edges_differ(self):
+        reference = self.build(self.EDGES["attacks"], self.EDGES["supports"])
+        swapped = self.build(self.EDGES["supports"], self.EDGES["attacks"])
+        assert swapped != reference
+
+    @given(bags())
+    def test_relations_round_trip(self, bag):
+        again = Bag(bag.names, bag.weights, bag.attacks, bag.supports)
+        assert again == bag
+        assert again.attacks == bag.attacks
+        assert again.supports == bag.supports
+        assert not bag.attacks & bag.supports
+
+    def test_relations_return_the_input_sets(self):
+        bag = self.build(self.EDGES["attacks"], self.EDGES["supports"])
+        assert bag.attacks == set(self.EDGES["attacks"])
+        assert bag.supports == set(self.EDGES["supports"])
+        assert bag.attackers_of(2) == (0, 3)
+        assert bag.supporters_of(2) == (1,)
+        assert bag.indegree(2) == 3
+
+    def test_rows_list_supporters_before_attackers(self):
+        bag = self.build(self.EDGES["attacks"], self.EDGES["supports"])
+        assert bag.indptr.tolist() == [0, 1, 2, 5, 7]
+        assert bag.src.tolist() == [2, 1, 1, 0, 3, 0, 3]
+        assert bag.sign.tolist() == [-1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0]
+        assert bag.targets().tolist() == [0, 1, 2, 2, 2, 3, 3]
+
+    def test_arrays_are_read_only(self):
+        bag = self.build(self.EDGES["attacks"], self.EDGES["supports"])
+        for arr in (bag.indptr, bag.src, bag.sign):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(BagValidationError, match="outside"):
+            Bag(["a", "b"], [0.5, float("nan")])

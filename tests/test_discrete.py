@@ -141,6 +141,10 @@ class TestCertify:
             cert.iterations_for(1.5)
         with pytest.raises(ValueError, match="epsilon"):
             cert.iterations_for(0.0)
+        # checked before the certificate, so the error names the epsilon
+        # even where no bound exists
+        with pytest.raises(ValueError, match="epsilon"):
+            certify(FAMILY, qe(1.0)).iterations_for(2.0)
 
     @given(bags(), specs())
     def test_global_lambda_is_max_of_per_argument(self, bag, spec):

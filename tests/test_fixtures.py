@@ -8,6 +8,7 @@ from bagsolve import (
     generate_family,
     generate_star,
     parse_bag,
+    serialize_bag,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -30,3 +31,13 @@ def test_fixture_file_matches_generator(name):
 
 def test_no_stray_fixture_files():
     assert {p.name for p in FIXTURES.glob("*.bag")} == set(EXPECTED)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_serialization_matches_fixture_file(name):
+    # the files are serializer output under a comment header, so this pins
+    # the serializer's bytes: statement order, number format and layout
+    text = (FIXTURES / name).read_text(encoding="utf-8")
+    statements = "".join(line for line in text.splitlines(keepends=True)
+                         if not line.startswith("#"))
+    assert serialize_bag(parse_bag(text)) == statements

@@ -1,0 +1,159 @@
+"""The vector update kernel against the per-argument scalar reference.
+
+``update`` evaluates all arguments at once with numpy kernels over the CSR
+edge arrays of ``Bag``; ``aggregate`` over ``parent_vector`` followed by
+``influence`` is the scalar reference. The aggregations add and multiply in
+the same order on both paths, but numpy's ``exp`` and ``power`` may round
+differently from the C library's, so the two may differ by round-off,
+bounded here beforehand by 1e-15.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from bagsolve import (
+    Bag,
+    SemanticsSpec,
+    aggregate,
+    codomain_bound,
+    generate_family,
+    generate_star,
+    influence,
+    max_indegree,
+    parent_vector,
+    solve_acyclic,
+    update,
+    update_rows,
+)
+from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag
+
+TOL = 1e-15
+PAIRS = [(agg, infl) for agg in AGG_KINDS for infl in INFL_KINDS]
+
+
+def scalar_update(bag: Bag, spec: SemanticsSpec, s) -> np.ndarray:
+    s = np.asarray(s, dtype=float).tolist()
+    return np.array([
+        influence(spec, float(bag.weights[i]),
+                  aggregate(spec, parent_vector(bag, i), s))
+        for i in range(bag.n)
+    ])
+
+
+def spec_for(agg: str, infl: str, bag: Bag, p: int = 2) -> SemanticsSpec:
+    """The pair with the smallest kappa the linear influence admits on
+    ``bag``; the p-max influence gets kappa 0.5, so that its aggregates
+    cross both branches of its response function."""
+    if infl == "linear":
+        kappa = max(1.0, float(codomain_bound(
+            SemanticsSpec(agg, "constant"), max_indegree(bag))))
+    else:
+        kappa = 0.5
+    return SemanticsSpec(agg, infl, kappa=kappa, p=p)
+
+
+def seeded_graphs():
+    yield "family-k1", generate_family(1, 0.9, 0.1)
+    yield "family-k3", generate_family(3, 0.3, 0.8)
+    yield "family-k50", generate_family(50, 0.9, 0.1)   # indegree 100
+    yield "star-k10", generate_star(10, 0.9, 0.4)
+    yield "star-k1000", generate_star(1000, 0.2, 0.7)
+    rng = np.random.default_rng(11)
+    for k in range(4):
+        yield f"random-{k}", random_bag(rng, n_max=40, max_parents=8)
+
+
+GRAPHS = dict(seeded_graphs())
+
+
+def states(bag: Bag, seed: int):
+    rng = np.random.default_rng(seed)
+    yield bag.weights
+    yield rng.random(bag.n)
+    yield np.where(rng.random(bag.n) < 0.5, 0.0, 1.0)
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_seeded_graphs(self, name, agg, infl):
+        bag = GRAPHS[name]
+        for p in (1, 2, 3) if infl == "pmax" else (2,):
+            spec = spec_for(agg, infl, bag, p)
+            for s in states(bag, seed=len(name)):
+                vector = update(bag, spec, s)
+                assert np.max(np.abs(vector - scalar_update(bag, spec, s)),
+                              initial=0.0) <= TOL
+
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    @given(bag=bags(max_n=8, max_edges=30), data=st.data())
+    def test_random_bags(self, agg, infl, bag, data):
+        spec = spec_for(agg, infl, bag, p=data.draw(st.sampled_from([1, 2, 3])))
+        s = np.asarray(data.draw(st.lists(
+            st.floats(0, 1, allow_nan=False), min_size=bag.n, max_size=bag.n)))
+        vector = update(bag, spec, s)
+        assert np.max(np.abs(vector - scalar_update(bag, spec, s)),
+                      initial=0.0) <= TOL
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    def test_aggregations_fold_in_scalar_order(self, agg):
+        # the linear influence uses only + - * / in the scalar order, so
+        # with it any difference would come from the aggregation, which
+        # must add and multiply the parents in the scalar order
+        bag = GRAPHS["family-k50"]
+        spec = spec_for(agg, "linear", bag)
+        s = np.random.default_rng(5).random(bag.n)
+        assert np.array_equal(update(bag, spec, s),
+                              scalar_update(bag, spec, s))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_rows_kernel_matches_full_update(self, name):
+        bag = GRAPHS[name]
+        rng = np.random.default_rng(3)
+        s = rng.random(bag.n)
+        rows = np.sort(rng.choice(bag.n, size=bag.n // 3, replace=False))
+        for agg, infl in PAIRS:
+            spec = spec_for(agg, infl, bag)
+            assert np.array_equal(update_rows(bag, spec, s, rows),
+                                  update(bag, spec, s)[rows])
+
+
+class TestEdgeCases:
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    def test_parentless_arguments_keep_their_weight(self, agg, infl):
+        bag = generate_star(20, 0.35, 0.65)
+        spec = spec_for(agg, infl, bag)
+        out = update(bag, spec, np.random.default_rng(1).random(bag.n))
+        assert out[1:].tolist() == bag.weights[1:].tolist()
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    def test_euler_at_zero_aggregate_returns_weight(self, agg):
+        # c has an attacker and a supporter of equal strength, so every
+        # aggregation gives exactly 0 while c still has parents
+        bag = Bag(["a", "b", "c"], [0.3, 0.3, 0.123456789],
+                  attacks={(0, 2)}, supports={(1, 2)})
+        out = update(bag, SemanticsSpec(agg, "euler"), [0.7, 0.7, 0.5])
+        assert out[2] == bag.weights[2]
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    def test_linear_rejects_out_of_domain_aggregate(self, agg):
+        # three supporters at 0.9 aggregate to 2.7, 0.999 or 0.9
+        bag = Bag(["a", "b", "c", "d"], [0.9, 0.9, 0.9, 0.5],
+                  supports={(0, 3), (1, 3), (2, 3)})
+        with pytest.raises(ValueError, match="outside"):
+            update(bag, SemanticsSpec(agg, "linear", kappa=0.5), bag.weights)
+
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    def test_empty_bag(self, agg, infl):
+        bag = Bag([], [])
+        spec = SemanticsSpec(agg, infl)
+        assert update(bag, spec, []).shape == (0,)
+        assert update_rows(bag, spec, [], []).shape == (0,)
+        assert solve_acyclic(bag, spec).shape == (0,)
+
+    def test_euler_saturates_above_exp_range(self):
+        bag = Bag(["s", "t", "u"], [1.0, 0.4, 0.0], supports={(0, 1), (0, 2)})
+        spec = SemanticsSpec("sum", "euler")
+        s = [800.0, 0.0, 0.0]
+        assert update(bag, spec, s).tolist() == [1.0, 1.0, 0.0]
+        assert scalar_update(bag, spec, s).tolist() == [1.0, 1.0, 0.0]
