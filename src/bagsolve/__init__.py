@@ -47,10 +47,12 @@ from .discrete import (
     solve_acyclic,
 )
 from .continuous import (
+    MODES,
     integrate_euler,
     integrate_rk4,
     iterate,
     rhs,
+    solve,
     verify_fixed_point,
 )
 from .analysis import (
@@ -75,6 +77,7 @@ __all__ = [
     "CheckReport",
     "ConvergenceCertificate",
     "CyclicGraphError",
+    "MODES",
     "Outcome",
     "OpenMindednessBound",
     "ParseDiagnostic",
@@ -108,6 +111,7 @@ __all__ = [
     "qe",
     "rhs",
     "serialize_bag",
+    "solve",
     "solve_acyclic",
     "topological_levels",
     "topological_order",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -96,6 +96,20 @@ class CheckReport:
         return f"fail: {pretty}"
 
 
+def _sample(trials: int, seed: int,
+            trial: Callable[[random.Random], Optional[dict]]) -> CheckReport:
+    # Runs ``trial`` until it returns a counterexample. A check of zero
+    # samples would report a pass it never tested, so it is refused.
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    for t in range(trials):
+        counterexample = trial(rng)
+        if counterexample is not None:
+            return CheckReport(False, t + 1, counterexample)
+    return CheckReport(True, trials)
+
+
 def check_duality_aggregation(
     spec: SemanticsSpec,
     trials: int = DEFAULT_TRIALS,
@@ -103,20 +117,15 @@ def check_duality_aggregation(
 ) -> CheckReport:
     """Sample (v, s) and test that negating the parent vector flips the
     aggregate's sign exactly: alpha_v(s) = -alpha_{-v}(s)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    for t in range(trials):
+    def trial(rng):
         n = rng.randint(1, 8)
         v = [rng.choice((-1, 0, 1)) for _ in range(n)]
         s = [rng.random() for _ in range(n)]
         lhs = aggregate(spec, v, s)
         rhs = -aggregate(spec, [-x for x in v], s)
         if abs(lhs - rhs) > DUALITY_TOL:
-            return CheckReport(False, t + 1, {
-                "v": v, "s": s, "alpha_v": lhs, "-alpha_-v": rhs,
-            })
-    return CheckReport(True, trials)
+            return {"v": v, "s": s, "alpha_v": lhs, "-alpha_-v": rhs}
+    return _sample(trials, seed, trial)
 
 
 def _influence_sample_domain(spec: SemanticsSpec) -> float:
@@ -131,20 +140,16 @@ def check_duality_influence(
 ) -> CheckReport:
     """Sample (w, a) and test the complement identity
     1 - iota_{1-w}(a) = iota_w(-a)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
     span = _influence_sample_domain(spec)
-    for t in range(trials):
+
+    def trial(rng):
         w = rng.random()
         a = rng.uniform(-span, span)
         lhs = 1.0 - influence(spec, 1.0 - w, a)
         rhs = influence(spec, w, -a)
         if abs(lhs - rhs) > DUALITY_TOL:
-            return CheckReport(False, t + 1, {
-                "w": w, "a": a, "1-iota_(1-w)(a)": lhs, "iota_w(-a)": rhs,
-            })
-    return CheckReport(True, trials)
+            return {"w": w, "a": a, "1-iota_(1-w)(a)": lhs, "iota_w(-a)": rhs}
+    return _sample(trials, seed, trial)
 
 
 def check_lipschitz_aggregation(
@@ -154,8 +159,7 @@ def check_lipschitz_aggregation(
 ) -> CheckReport:
     """Empirically confirm the aggregation's analytic Lipschitz constant:
     |alpha_v(s1) - alpha_v(s2)| <= lambda_v * maxnorm(s1 - s2)."""
-    rng = random.Random(seed)
-    for t in range(trials):
+    def trial(rng):
         n = rng.randint(1, 8)
         v = [rng.choice((-1, 0, 1)) for _ in range(n)]
         s1 = [rng.random() for _ in range(n)]
@@ -164,10 +168,8 @@ def check_lipschitz_aggregation(
         bound = (lipschitz_aggregation(spec, sum(x != 0 for x in v))
                  * max(abs(a - b) for a, b in zip(s1, s2)))
         if gap > bound + LIPSCHITZ_SLACK:
-            return CheckReport(False, t + 1, {
-                "v": v, "s1": s1, "s2": s2, "gap": gap, "bound": bound,
-            })
-    return CheckReport(True, trials)
+            return {"v": v, "s1": s1, "s2": s2, "gap": gap, "bound": bound}
+    return _sample(trials, seed, trial)
 
 
 def check_lipschitz_influence(
@@ -177,19 +179,17 @@ def check_lipschitz_influence(
 ) -> CheckReport:
     """Empirically confirm the influence's analytic Lipschitz constant:
     |iota_w(a1) - iota_w(a2)| <= lambda_w * |a1 - a2|."""
-    rng = random.Random(seed)
     span = _influence_sample_domain(spec)
-    for t in range(trials):
+
+    def trial(rng):
         w = rng.random()
         a1 = rng.uniform(-span, span)
         a2 = rng.uniform(-span, span)
         gap = abs(influence(spec, w, a1) - influence(spec, w, a2))
         bound = lipschitz_influence(spec, w) * abs(a1 - a2)
         if gap > bound + LIPSCHITZ_SLACK:
-            return CheckReport(False, t + 1, {
-                "w": w, "a1": a1, "a2": a2, "gap": gap, "bound": bound,
-            })
-    return CheckReport(True, trials)
+            return {"w": w, "a1": a1, "a2": a2, "gap": gap, "bound": bound}
+    return _sample(trials, seed, trial)
 
 
 @dataclass(frozen=True)

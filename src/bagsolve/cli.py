@@ -12,9 +12,11 @@ import sys
 from pathlib import Path
 
 from . import analysis, continuous, discrete
-from .core import Bag, topological_order
+# topological_order is unused here but stays a name of this module, because
+# the benchmark's tracer (bench/run.py) patches cli.topological_order.
+from .core import Bag, topological_order  # noqa: F401
 from .io import BagParseError, parse_bag, serialize_bag, write_trajectory_csv
-from .results import Outcome, SolveResult, Trajectory
+from .results import Outcome, SolveResult
 from .semantics import (
     AGGREGATIONS,
     INFLUENCES,
@@ -22,8 +24,6 @@ from .semantics import (
     SemanticsConfigError,
     SemanticsSpec,
 )
-
-MODES = ("auto", "acyclic", "discrete", "euler", "rk4")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +82,7 @@ def _print_strengths(bag: Bag, strengths) -> None:
         print(f"{name:<{width}}  {w:8.6f}  {s:8.6f}")
 
 
-def _report_result(bag: Bag, result: SolveResult, mode: str) -> int:
+def _report_result(bag: Bag, mode: str, result: SolveResult) -> int:
     _print_strengths(bag, result.strengths)
     print(f"mode: {mode}")
     print(f"outcome: {result.outcome.value}")
@@ -101,33 +101,14 @@ def _report_result(bag: Bag, result: SolveResult, mode: str) -> int:
 def cmd_solve(args) -> int:
     bag = _load_bag(args.input)
     spec = _build_spec(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "acyclic" if topological_order(bag) is not None else "rk4"
-
     want_traj = args.trajectory is not None
-    if mode == "acyclic":
-        strengths = discrete.solve_acyclic(bag, spec)
-        result = SolveResult(Outcome.CONVERGED, strengths, 1.0)
-        if want_traj:
-            traj = Trajectory()
-            traj.append(0.0, bag.weights)
-            traj.append(1.0, strengths)
-            result.trajectory = traj
-    elif mode == "discrete":
-        result = continuous.iterate(bag, spec, tolerance=args.tolerance,
-                                    max_iterations=args.max_iterations,
-                                    record_trajectory=want_traj)
-    else:
-        integrator = (continuous.integrate_euler if mode == "euler"
-                      else continuous.integrate_rk4)
-        result = integrator(bag, spec, delta=args.delta,
-                            tolerance=args.tolerance, t_max=args.t_max,
-                            record_trajectory=want_traj)
-
+    mode, result = continuous.solve(
+        bag, spec, args.mode, delta=args.delta, tolerance=args.tolerance,
+        t_max=args.t_max, max_iterations=args.max_iterations,
+        record_trajectory=want_traj)
     if want_traj:
         write_trajectory_csv(result.trajectory, bag.names, args.trajectory)
-    return _report_result(bag, result, mode)
+    return _report_result(bag, mode, result)
 
 
 def cmd_certify(args) -> int:
@@ -173,23 +154,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _check_duality(spec: SemanticsSpec, trials: int, seed: int) -> int:
-    agg = analysis.check_duality_aggregation(spec, trials, seed)
-    infl = analysis.check_duality_influence(spec, trials, seed)
-    print(f"aggregation-duality: {agg}")
-    print(f"influence-duality: {infl}")
-    ok = agg.passed and infl.passed
-    print(f"duality: {'pass' if ok else 'fail'}")
-    return 0 if ok else 2
-
-
-def _check_lipschitz(spec: SemanticsSpec, trials: int, seed: int) -> int:
-    agg = analysis.check_lipschitz_aggregation(spec, trials, seed)
-    infl = analysis.check_lipschitz_influence(spec, trials, seed)
-    print(f"aggregation-lipschitz: {agg}")
-    print(f"influence-lipschitz: {infl}")
-    ok = agg.passed and infl.passed
-    print(f"lipschitz: {'pass' if ok else 'fail'}")
+def _check_pair(args, spec: SemanticsSpec) -> int:
+    # duality or lipschitz: runs analysis.check_<prop>_aggregation and
+    # analysis.check_<prop>_influence
+    prop = args.property
+    reports = {part: getattr(analysis, f"check_{prop}_{part}")(
+        spec, args.trials, args.seed) for part in ("aggregation", "influence")}
+    for part, report in reports.items():
+        print(f"{part}-{prop}: {report}")
+    ok = all(report.passed for report in reports.values())
+    print(f"{prop}: {'pass' if ok else 'fail'}")
     return 0 if ok else 2
 
 
@@ -200,15 +174,12 @@ def _check_open_mindedness(args, spec: SemanticsSpec) -> int:
         return 1
     bag = _load_bag(args.input)
     bound = analysis.open_mindedness_bound(bag, spec)
-    if topological_order(bag) is not None:
-        strengths = discrete.solve_acyclic(bag, spec)
-    else:
-        result = continuous.integrate_rk4(bag, spec, record_trajectory=False)
-        if result.outcome is not Outcome.CONVERGED:
-            print(f"open-mindedness: {result.outcome.value} — no final "
-                  f"strengths to check")
-            return 2
-        strengths = result.strengths
+    _, result = continuous.solve(bag, spec, record_trajectory=False)
+    if result.outcome is not Outcome.CONVERGED:
+        print(f"open-mindedness: {result.outcome.value} — no final "
+              f"strengths to check")
+        return 2
+    strengths = result.strengths
     width = _name_width(bag)
     print(f"{'argument':<{width}}  {'lower':>8}  {'strength':>8}  {'upper':>8}")
     for i, name in enumerate(bag.names):
@@ -221,11 +192,9 @@ def _check_open_mindedness(args, spec: SemanticsSpec) -> int:
 
 def cmd_check(args) -> int:
     spec = _build_spec(args)
-    if args.property == "duality":
-        return _check_duality(spec, args.trials, args.seed)
-    if args.property == "lipschitz":
-        return _check_lipschitz(spec, args.trials, args.seed)
-    return _check_open_mindedness(args, spec)
+    if args.property == "open-mindedness":
+        return _check_open_mindedness(args, spec)
+    return _check_pair(args, spec)
 
 
 def build_parser() -> _Parser:
@@ -237,7 +206,7 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="compute final strengths")
     p_solve.add_argument("input", help="BAG file ('-' for stdin)")
     _add_semantics_flags(p_solve)
-    p_solve.add_argument("--mode", choices=MODES, default="auto",
+    p_solve.add_argument("--mode", choices=continuous.MODES, default="auto",
                          help="auto picks single-pass for acyclic graphs, "
                               "rk4 otherwise")
     p_solve.add_argument("--delta", type=float, default=continuous.DEFAULT_DELTA,

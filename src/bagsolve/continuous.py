@@ -8,6 +8,9 @@ cyclic graphs. Discrete iteration is the flow sampled by explicit Euler with
 step 1, so iterate, integrate_euler and integrate_rk4 share one solver loop
 and differ only in the step they take; with step 1 the Euler run reproduces
 the discrete iteration bit for bit.
+
+``solve`` is the one place that picks a mode: exact single-pass evaluation
+for acyclic graphs, RK4 on the flow otherwise, unless a mode is named.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import discrete
 from .core import Bag
 from .results import Outcome, SolveResult, Trajectory
 from .semantics import SemanticsSpec, update, validate_spec
@@ -23,6 +27,7 @@ DEFAULT_DELTA = 0.01
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_T_MAX = 10_000.0
 DEFAULT_MAX_ITERATIONS = 100_000
+MODES = ("auto", "acyclic", "discrete", "euler", "rk4")
 
 # Two sampled states this close (max-norm) count as the same state when
 # looking for period-2 oscillation.
@@ -64,10 +69,12 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     it) ends the run as budget-exhausted at t_k: the loop is deterministic,
     so it could never leave that state.
     """
-    if not dt > 0:
-        raise ValueError(f"step size must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if budget != budget:  # only NaN differs from itself
+        raise ValueError(f"budget must be a number, got {budget}")
     validate_spec(bag, spec)
 
     amplitude = max(tolerance, CYCLE_MIN_AMPLITUDE)
@@ -176,3 +183,37 @@ def integrate_rk4(
         return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return _solve(bag, spec, step, delta, tolerance, t_max, record_trajectory)
+
+
+def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
+          delta: float = DEFAULT_DELTA, tolerance: float = DEFAULT_TOLERANCE,
+          t_max: float = DEFAULT_T_MAX,
+          max_iterations: int = DEFAULT_MAX_ITERATIONS,
+          record_trajectory: bool = True) -> tuple[str, SolveResult]:
+    """Solve in one of MODES; returns the mode that ran and its result.
+
+    ``acyclic`` is ``discrete.solve_acyclic`` (CyclicGraphError on a cycle),
+    reported as converged after one iteration, ``discrete`` is ``iterate``
+    and ``euler``/``rk4`` are the integrators. ``auto`` runs ``acyclic`` and
+    falls back to ``rk4`` on a cycle, so the graph is sorted only once.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode in ("auto", "acyclic"):
+        try:
+            strengths = discrete.solve_acyclic(bag, spec)
+        except discrete.CyclicGraphError:
+            if mode == "acyclic":
+                raise
+            mode = "rk4"
+        else:
+            trajectory = (Trajectory([0.0, 1.0], [bag.weights, strengths])
+                          if record_trajectory else None)
+            return "acyclic", SolveResult(Outcome.CONVERGED, strengths, 1.0,
+                                          trajectory=trajectory)
+    if mode == "discrete":
+        return mode, iterate(bag, spec, tolerance, max_iterations,
+                             record_trajectory)
+    integrator = integrate_euler if mode == "euler" else integrate_rk4
+    return mode, integrator(bag, spec, delta=delta, tolerance=tolerance,
+                            t_max=t_max, record_trajectory=record_trajectory)

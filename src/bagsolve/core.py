@@ -14,6 +14,7 @@ order, so every kernel visits parents in one fixed order.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -87,7 +88,7 @@ class Bag:
     ):
         names = tuple(names)
         if len(set(names)) != len(names):
-            dupes = sorted({x for x in names if names.count(x) > 1})
+            dupes = sorted(x for x, c in Counter(names).items() if c > 1)
             raise BagValidationError(f"duplicate argument names: {dupes}")
         weight_arr = np.array(weights, dtype=float)
         if weight_arr.shape != (len(names),):

@@ -61,18 +61,6 @@ def _blank_comments(text: str) -> str:
     return _COMMENT_RE.sub(lambda m: " " * len(m.group(0)), text)
 
 
-class _Locator:
-    def __init__(self, text: str):
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
-
-    def position(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.starts, offset)
-        return line, offset - self.starts[line - 1] + 1
-
-
 def parse_bag(source: Union[str, IO[str]]) -> Bag:
     """Parse BAG text into a validated Bag.
 
@@ -82,12 +70,16 @@ def parse_bag(source: Union[str, IO[str]]) -> Bag:
     """
     text = source if isinstance(source, str) else source.read()
     clean = _blank_comments(text)
-    locator = _Locator(clean)
     diagnostics: list[ParseDiagnostic] = []
+    line_starts: list[int] = []  # filled on the first diagnostic
 
     def error(offset: int, message: str) -> None:
-        line, col = locator.position(offset)
-        diagnostics.append(ParseDiagnostic(line, col, message))
+        if not line_starts:
+            line_starts.append(0)
+            line_starts.extend(m.end() for m in re.finditer("\n", clean))
+        line = bisect_right(line_starts, offset)
+        diagnostics.append(ParseDiagnostic(
+            line, offset - line_starts[line - 1] + 1, message))
 
     # lexical pass: collect statements, recovering at the next period
     arg_stmts: list[tuple[int, str, str]] = []   # (offset, name, weight text)

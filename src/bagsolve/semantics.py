@@ -71,16 +71,6 @@ class SemanticsSpec:
         if self.influence == PMAX and (self.p < 1 or self.p != int(self.p)):
             raise SemanticsConfigError(f"p must be a positive integer, got {self.p}")
 
-    def describe(self) -> str:
-        parts = [self.aggregation, self.influence]
-        if self.influence in (LINEAR, PMAX):
-            parts.append(f"kappa={self.kappa:g}")
-        if self.influence == PMAX:
-            parts.append(f"p={self.p}")
-        return "+".join(parts[:2]) + (
-            f" ({', '.join(parts[2:])})" if len(parts) > 2 else ""
-        )
-
 
 def dfq(kappa: float = 1.0) -> SemanticsSpec:
     """DF-QuAD style semantics: product aggregation with linear influence."""

@@ -6,17 +6,19 @@ from bagsolve import (
     SemanticsSpec,
     check_duality_aggregation,
     check_duality_influence,
+    check_lipschitz_aggregation,
+    check_lipschitz_influence,
     dfq,
     euler_semantics,
     fixture_duality_bag,
     generate_family,
     generate_star,
     influence,
-    integrate_rk4,
     max_indegree,
     open_mindedness_bound,
     parent_vector,
     qe,
+    solve,
     solve_acyclic,
 )
 
@@ -93,6 +95,15 @@ class TestDualityFixture:
         for a, b in (("a1", "b1"), ("a2", "b2"), ("a3", "b3")):
             assert bag.weights[bag.index(a)] + bag.weights[bag.index(b)] == \
                 pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("check", [
+    check_duality_aggregation, check_duality_influence,
+    check_lipschitz_aggregation, check_lipschitz_influence])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_checks_need_at_least_one_trial(check, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check(qe(1.0), trials)
 
 
 class TestDualityChecks:
@@ -188,12 +199,7 @@ class TestOpenMindedness:
             (generate_family(1, 0.9, 0.1), SemanticsSpec("top", "euler")),
         ]
         for bag, spec in fixtures:
-            from bagsolve import topological_order
-            if topological_order(bag) is not None:
-                strengths = solve_acyclic(bag, spec)
-            else:
-                result = integrate_rk4(bag, spec, record_trajectory=False)
-                assert result.outcome is Outcome.CONVERGED
-                strengths = result.strengths
+            _, result = solve(bag, spec, record_trajectory=False)
+            assert result.outcome is Outcome.CONVERGED
             bound = open_mindedness_bound(bag, spec)
-            assert bound.contains(strengths, slack=1e-6), (spec, strengths)
+            assert bound.contains(result.strengths, slack=1e-6), (spec, result)

@@ -172,6 +172,29 @@ class TestBadInput:
         assert "epsilon must be in (0, 1)" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--mode", "rk4", "--delta", "inf"], "step size must be positive"),
+        (["--mode", "euler", "--delta", "nan"], "step size must be positive"),
+        (["--t-max", "nan"], "budget must be a number"),
+    ])
+    def test_non_finite_step_or_budget(self, family_file, capsys, flags,
+                                       message):
+        code = cli.main(["solve", family_file, "--semantics", "qe", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("prop", ["duality", "lipschitz"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_property_check_without_trials(self, capsys, prop, trials):
+        code = cli.main(["check", prop, "--semantics", "qe",
+                         "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: trials must be >= 1\n"
+        assert captured.out == ""
+
     def test_step_too_small_to_move_the_state(self, family_file):
         # 0.9 + 1e-300 * k rounds back to 0.9, so the run can never reach
         # t_max or converge; it must stop instead of looping forever

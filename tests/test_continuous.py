@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import bagsolve.continuous
+import bagsolve.discrete
 from bagsolve import (
+    MODES,
     Bag,
+    CyclicGraphError,
     Outcome,
     SemanticsSpec,
     SolveResult,
@@ -18,9 +23,12 @@ from bagsolve import (
     integrate_euler,
     integrate_rk4,
     iterate,
+    parse_bag,
     qe,
     rhs,
+    solve,
     solve_acyclic,
+    topological_order,
     verify_fixed_point,
 )
 from conftest import bags, random_bag, specs
@@ -222,3 +230,70 @@ class TestDiscreteContinuousAgreement:
             assert disc.outcome is Outcome.CONVERGED
             assert cont.outcome is Outcome.CONVERGED
             assert np.max(np.abs(disc.strengths - cont.strengths)) < 1e-4
+
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.bag"))
+SOLVE_SPECS = {"dfq": dfq(1.0), "qe": qe(1.0), "euler": euler_semantics()}
+# off the defaults, so that solve must pass each one on
+SOLVE_PARAMS = dict(delta=0.05, tolerance=1e-6, t_max=200.0)
+SOLVE_ITERATIONS = 500
+
+
+def acyclic_result(bag, spec) -> SolveResult:
+    strengths = solve_acyclic(bag, spec)
+    trajectory = Trajectory()
+    trajectory.append(0.0, bag.weights)
+    trajectory.append(1.0, strengths)
+    return SolveResult(Outcome.CONVERGED, strengths, 1.0, trajectory=trajectory)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("spec_name", SOLVE_SPECS)
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_matches_the_solver_of_its_mode(self, path, spec_name, mode):
+        bag = parse_bag(path.read_text())
+        spec = SOLVE_SPECS[spec_name]
+        acyclic = topological_order(bag) is not None
+        if mode == "acyclic" and not acyclic:
+            with pytest.raises(CyclicGraphError):
+                solve(bag, spec, mode, **SOLVE_PARAMS)
+            return
+        expected_mode = {"auto": "acyclic" if acyclic else "rk4"}.get(mode, mode)
+        if expected_mode == "acyclic":
+            expected = acyclic_result(bag, spec)
+        elif expected_mode == "discrete":
+            expected = iterate(bag, spec, SOLVE_PARAMS["tolerance"],
+                               SOLVE_ITERATIONS)
+        else:
+            integrator = {"euler": integrate_euler,
+                          "rk4": integrate_rk4}[expected_mode]
+            expected = integrator(bag, spec, **SOLVE_PARAMS)
+        ran, result = solve(bag, spec, mode, max_iterations=SOLVE_ITERATIONS,
+                            **SOLVE_PARAMS)
+        assert ran == expected_mode
+        assert_same_result(result, expected)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trajectory_is_optional(self, mode):
+        bag = generate_star(3, 0.9, 0.9)
+        _, result = solve(bag, qe(1.0), mode, record_trajectory=False)
+        assert result.trajectory is None
+
+    def test_auto_tests_for_cycles_once(self, monkeypatch):
+        # a cyclic graph costs one failed single pass, then the rk4 run
+        calls = []
+        real = bagsolve.discrete.topological_levels
+        monkeypatch.setattr(bagsolve.discrete, "topological_levels",
+                            lambda bag: calls.append(bag) or real(bag))
+        assert solve(FAMILY, qe(1.0))[0] == "rk4"
+        assert solve(generate_star(3, 0.9, 0.9), qe(1.0))[0] == "acyclic"
+        assert len(calls) == 2
+
+    def test_acyclic_mode_on_a_cycle_raises(self):
+        with pytest.raises(CyclicGraphError):
+            solve(FAMILY, qe(1.0), "acyclic")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'exact'"):
+            solve(FAMILY, qe(1.0), "exact")

@@ -116,6 +116,13 @@ class TestValidation:
         with pytest.raises(BagValidationError, match="duplicate"):
             Bag(["a", "a"], [0.5, 0.5])
 
+    def test_duplicate_among_many_names_is_named(self):
+        names = [f"a{i}" for i in range(10**5)]
+        names[70_000] = "a123"
+        with pytest.raises(BagValidationError) as err:
+            Bag(names, [0.5] * len(names))
+        assert str(err.value) == "duplicate argument names: ['a123']"
+
     def test_edge_endpoint_out_of_range(self):
         with pytest.raises(BagValidationError, match="missing argument"):
             Bag(["a"], [0.5], attacks={(0, 1)})

@@ -92,6 +92,23 @@ class TestDiagnostics:
             parse_bag("arg(a,2).\narg(a,0.5).\natt(a,nope).")
         assert len(err.value.diagnostics) == 3
 
+    def test_positions_after_comments_and_shared_lines(self):
+        text = ("# header that mentions arg(x,2).\n"
+                "arg(a,0.5). arg(b,0.25).  arg(c,1.5).\n"
+                "arg(d,0.1). // note att(d,zz).\n"
+                "   att(d,ghost).\n")
+        with pytest.raises(BagParseError) as err:
+            parse_bag(text)
+        assert [(d.line, d.column) for d in err.value.diagnostics] == [
+            (2, 27), (4, 4)]
+
+    def test_every_one_of_many_errors_is_located(self):
+        with pytest.raises(BagParseError) as err:
+            parse_bag("arg(a,0.5).\n" + " bad.\n" * 5000)
+        diags = err.value.diagnostics
+        assert [(d.line, d.column) for d in diags] == [
+            (line, 2) for line in range(2, 5002)]
+
 
 class TestSerialize:
     def test_minimal_bag(self):
