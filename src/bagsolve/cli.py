@@ -77,9 +77,11 @@ def _name_width(bag: Bag) -> int:
 
 def _print_strengths(bag: Bag, strengths) -> None:
     width = _name_width(bag)
-    print(f"{'argument':<{width}}  {'weight':>8}  {'strength':>8}")
-    for name, w, s in zip(bag.names, bag.weights, strengths):
-        print(f"{name:<{width}}  {w:8.6f}  {s:8.6f}")
+    lines = [f"{'argument':<{width}}  {'weight':>8}  {'strength':>8}\n"]
+    lines += [f"{name:<{width}}  {w:8.6f}  {s:8.6f}\n"
+              for name, w, s in zip(bag.names, bag.weights.tolist(),
+                                    strengths.tolist())]
+    sys.stdout.write("".join(lines))
 
 
 def _report_result(bag: Bag, mode: str, result: SolveResult) -> int:

@@ -53,6 +53,15 @@ def verify_fixed_point(bag: Bag, spec: SemanticsSpec,
     return float(np.abs(update(bag, spec, s) - s).max(initial=0.0)) <= tol
 
 
+def _check_run(dt: float, tolerance: float, budget: float) -> None:
+    if not 0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if budget != budget:  # only NaN differs from itself
+        raise ValueError(f"budget must be a number, got {budget}")
+
+
 def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
            tolerance: float, budget: float, record_trajectory: bool,
            report_update: bool = False) -> SolveResult:
@@ -69,12 +78,7 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     it) ends the run as budget-exhausted at t_k: the loop is deterministic,
     so it could never leave that state.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if budget != budget:  # only NaN differs from itself
-        raise ValueError(f"budget must be a number, got {budget}")
+    _check_run(dt, tolerance, budget)
     validate_spec(bag, spec)
 
     amplitude = max(tolerance, CYCLE_MIN_AMPLITUDE)
@@ -173,14 +177,31 @@ def integrate_rk4(
     equilibria of every step size, so the limit does not inherit an
     O(delta^4) bias.
     """
+    # The stages live in buffers made once per run. Stage states of a large
+    # step can overshoot [0,1]; the derivative is evaluated on the clamped
+    # state so influences stay in their domain (maximum then minimum clamps
+    # as np.clip does on non-NaN input).
+    k1, k2, k3, x = (np.empty(bag.n) for _ in range(4))
+
+    def slope(state: np.ndarray, k: np.ndarray, h: float,
+              out: np.ndarray) -> np.ndarray:
+        # out = rhs at clamp(state + h * k)
+        np.multiply(k, h, out=x)
+        np.add(state, x, out=x)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, 1.0, out=x)
+        return np.subtract(update(bag, spec, x), x, out=out)
+
     def step(state: np.ndarray, updated: np.ndarray) -> np.ndarray:
-        # Stage states of a large step can overshoot [0,1]; evaluate the
-        # derivative on the clamped state so influences stay in their domain.
-        k1 = updated - state
-        k2 = rhs(bag, spec, np.clip(state + 0.5 * delta * k1, 0.0, 1.0))
-        k3 = rhs(bag, spec, np.clip(state + 0.5 * delta * k2, 0.0, 1.0))
-        k4 = rhs(bag, spec, np.clip(state + delta * k3, 0.0, 1.0))
-        return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # state + delta/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.subtract(updated, state, out=k1)
+        slope(state, k1, 0.5 * delta, k2)
+        slope(state, k2, 0.5 * delta, k3)
+        k4 = slope(state, k3, delta, x)
+        total = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
+        np.add(total, np.multiply(k3, 2.0, out=k3), out=total)
+        np.add(total, k4, out=total)
+        return state + np.multiply(total, delta / 6.0, out=total)
 
     return _solve(bag, spec, step, delta, tolerance, t_max, record_trajectory)
 
@@ -196,9 +217,12 @@ def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
     reported as converged after one iteration, ``discrete`` is ``iterate``
     and ``euler``/``rk4`` are the integrators. ``auto`` runs ``acyclic`` and
     falls back to ``rk4`` on a cycle, so the graph is sorted only once.
+    ``delta``, ``tolerance`` and ``t_max`` are checked in every mode, used or
+    not, so that one set of flags is accepted or refused whatever the graph.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_run(delta, tolerance, t_max)
     if mode in ("auto", "acyclic"):
         try:
             strengths = discrete.solve_acyclic(bag, spec)

@@ -10,13 +10,19 @@ the parents of argument ``i`` are ``src[indptr[i]:indptr[i + 1]]``, and
 ``sign`` holds -1.0 for an attacker and +1.0 for a supporter. Within a row
 the supporters come first, then the attackers, each in ascending source
 order, so every kernel visits parents in one fixed order.
+
+The update kernel reads the same edges regrouped as indegree blocks: for
+each indegree d >= 1, the arguments with d parents (ascending) and two
+C-contiguous (d, m) arrays holding, column by column, their parents and
+signs in CSR order. A reduction over axis 0 then folds every argument's
+parents one at a time, in that order.
 """
 from __future__ import annotations
 
 import heapq
 from collections import Counter
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +54,22 @@ def _edge_codes(edges: Iterable[Edge], n: int, label: str) -> np.ndarray:
     return _distinct(pairs[:, 1] * n + pairs[:, 0])
 
 
-def _segments(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Positions of the entries of CSR rows ``rows``, concatenated in row
-    # order, and for each the index into ``rows`` of the row holding it.
+def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # Positions of the entries of CSR rows ``rows``, concatenated in row order.
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     offsets = np.cumsum(counts) - counts
-    positions = np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
-    return positions, np.repeat(np.arange(rows.size), counts)
+    return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
+
+
+class IndegreeBlock(NamedTuple):
+    """The arguments ``pos`` that share one indegree d >= 1, with their edges
+    as (d, len(pos)) arrays: column j holds the parents and signs of the
+    argument ``pos[j]``, row k its k-th parent in CSR order."""
+
+    pos: np.ndarray
+    parents: np.ndarray
+    sign: np.ndarray
 
 
 class Bag:
@@ -73,11 +87,12 @@ class Bag:
         attacker or a supporter, never both.
 
     The edges are kept only as the read-only CSR arrays ``indptr``, ``src``
-    and ``sign`` (see the module docstring); ``attacks``, ``supports`` and
-    the per-argument accessors are computed from them.
+    and ``sign`` (see the module docstring); ``attacks``, ``supports``, the
+    per-argument accessors and the indegree ``blocks`` are computed from
+    them.
     """
 
-    __slots__ = ("names", "weights", "indptr", "src", "sign")
+    __slots__ = ("names", "weights", "indptr", "src", "sign", "_blocks")
 
     def __init__(
         self,
@@ -131,6 +146,7 @@ class Bag:
         self.indptr = indptr
         self.src = src
         self.sign = sign
+        self._blocks = None
 
     @property
     def n(self) -> int:
@@ -146,10 +162,42 @@ class Bag:
         """Target of every edge, aligned with ``src`` and ``sign``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    def row_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Edges into the arguments ``rows``, in CSR order: their positions in
-        ``src``/``sign``, and for each the index into ``rows`` of its target."""
-        return _segments(self.indptr, np.asarray(rows, dtype=np.intp))
+    @property
+    def blocks(self) -> tuple[IndegreeBlock, ...]:
+        """Indegree blocks of all arguments, built on first use and kept."""
+        if self._blocks is None:
+            blocks = self.row_blocks(np.arange(self.n))
+            for block in blocks:
+                for arr in block:
+                    arr.setflags(write=False)
+            self._blocks = blocks
+        return self._blocks
+
+    def row_blocks(self, rows: np.ndarray) -> tuple[IndegreeBlock, ...]:
+        """Indegree blocks of the arguments ``rows``; each block's ``pos``
+        indexes ``rows``."""
+        # A stable sort by indegree keeps each block's arguments ascending;
+        # a change between neighbours starts a new block.
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = self.indptr[rows]
+        degree = self.indptr[rows + 1] - starts
+        order = np.argsort(degree, kind="stable")
+        degree = degree[order]
+        cuts = np.flatnonzero(np.diff(degree, prepend=-1, append=-1)).tolist()
+        blocks = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            d = int(degree[lo])
+            if d == 0:
+                continue  # no parents: every aggregation is 0
+            pos = order[lo:hi]
+            if pos.size == 1:
+                # numpy reduces a one-column block as a 1-D array, pairwise;
+                # a second copy of the column keeps the fold sequential
+                pos = np.repeat(pos, 2)
+            slots = np.arange(d)[:, None] + starts[pos]
+            blocks.append(IndegreeBlock(pos, self.src[slots],
+                                        self.sign[slots]))
+        return tuple(blocks)
 
     def _relation(self, sign: float) -> frozenset[Edge]:
         mask = self.sign == sign
@@ -268,7 +316,7 @@ def topological_levels(bag: Bag) -> Optional[list[np.ndarray]]:
     while level.size:
         levels.append(level)
         placed += level.size
-        reached = children[_segments(child_ptr, level)[0]]
+        reached = children[_segments(child_ptr, level)]
         np.subtract.at(pending, reached, 1)
         level = _distinct(reached[pending[reached] == 0])
     return levels if placed == bag.n else None

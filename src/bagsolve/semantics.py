@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Bag
+from .core import Bag, IndegreeBlock
 
 SUM = "sum"
 PRODUCT = "product"
@@ -209,33 +209,29 @@ def influence(spec: SemanticsSpec, w: float, a: float) -> float:
 # ``aggregate`` and ``influence`` above compute for one; those stay as the
 # scalar reference. The aggregations fold the parents in the scalar order,
 # so they agree exactly; ``euler`` and ``pmax`` may differ by round-off,
-# since numpy's exp and power are not the C library's. Edges arrive as
-# parallel arrays in the CSR order of ``Bag``: the row each edge points
-# into, its sign and the current strength of its source.
+# since numpy's exp and power are not the C library's.
 
-def _aggregate_rows(kind: str, m: int, rows: np.ndarray, sign: np.ndarray,
-                    values: np.ndarray) -> np.ndarray:
-    if kind == SUM:
-        # bincount adds in edge order, which puts each row's supporters
-        # before its attackers as the scalar sum does: the results are equal
-        return np.bincount(rows, weights=sign * values, minlength=m)
-    # index arrays, not boolean masks: a random mask indexes ~5x slower
-    att = np.flatnonzero(sign < 0.0)
-    sup = np.flatnonzero(sign > 0.0)
-    if kind == PRODUCT:
-        # the empty product 1 for parentless rows, as in the scalar fold
-        pa = np.ones(m)
-        np.multiply.at(pa, rows[att], 1.0 - values[att])
-        ps = np.ones(m)
-        np.multiply.at(ps, rows[sup], 1.0 - values[sup])
-        return pa - ps
-    # top: every row starts at 0.0, so rows without attackers or without
-    # supporters need no masking (reduceat would misread empty segments)
-    best_att = np.zeros(m)
-    np.maximum.at(best_att, rows[att], values[att])
-    best_sup = np.zeros(m)
-    np.maximum.at(best_sup, rows[sup], values[sup])
-    return best_sup - best_att
+def _aggregate_blocks(kind: str, m: int, blocks: Sequence[IndegreeBlock],
+                      s: np.ndarray) -> np.ndarray:
+    # One axis-0 reduction per indegree block. Numpy reduces axis 0 of a
+    # C-contiguous (d, m) array one row at a time, so each argument folds
+    # its parents in CSR order, supporters then attackers, as the scalar
+    # fold does. Masked-out parents contribute the exact identities 1.0 of
+    # the product and 0.0 of the max, which leave the result unchanged.
+    a = np.zeros(m)  # parentless arguments aggregate to 0
+    for pos, parents, sign in blocks:
+        v = s[parents]
+        if kind == SUM:
+            v *= sign
+            a[pos] = v.sum(axis=0)
+        elif kind == PRODUCT:
+            v = 1.0 - v
+            a[pos] = (np.where(sign < 0.0, v, 1.0).prod(axis=0)
+                      - np.where(sign > 0.0, v, 1.0).prod(axis=0))
+        else:
+            a[pos] = (np.where(sign > 0.0, v, 0.0).max(axis=0)
+                      - np.where(sign < 0.0, v, 0.0).max(axis=0))
+    return a
 
 
 def _h_rows(x: np.ndarray, p: int) -> np.ndarray:
@@ -271,16 +267,11 @@ def _influence_rows(spec: SemanticsSpec, w: np.ndarray,
     return w.copy()  # constant
 
 
-def _apply(spec: SemanticsSpec, w: np.ndarray, rows: np.ndarray,
-           sign: np.ndarray, values: np.ndarray) -> np.ndarray:
-    a = _aggregate_rows(spec.aggregation, w.size, rows, sign, values)
-    return _influence_rows(spec, w, a)
-
-
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
     """One synchronous update: every argument recomputed from the old state."""
     s = np.asarray(s, dtype=float)
-    return _apply(spec, bag.weights, bag.targets(), bag.sign, s[bag.src])
+    a = _aggregate_blocks(spec.aggregation, bag.n, bag.blocks, s)
+    return _influence_rows(spec, bag.weights, a)
 
 
 def update_rows(bag: Bag, spec: SemanticsSpec, s: Sequence[float],
@@ -292,9 +283,8 @@ def update_rows(bag: Bag, spec: SemanticsSpec, s: Sequence[float],
     """
     s = np.asarray(s, dtype=float)
     rows = np.asarray(rows, dtype=np.intp)
-    edges, owner = bag.row_edges(rows)
-    return _apply(spec, bag.weights[rows], owner, bag.sign[edges],
-                  s[bag.src[edges]])
+    a = _aggregate_blocks(spec.aggregation, rows.size, bag.row_blocks(rows), s)
+    return _influence_rows(spec, bag.weights[rows], a)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,22 @@ class TestBadInput:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--tolerance", "0"], "tolerance must be positive"),
+        (["--delta", "inf"], "step size must be positive"),
+        (["--t-max", "nan"], "budget must be a number"),
+    ])
+    @pytest.mark.parametrize("mode", ["auto", "acyclic"])
+    def test_bad_solver_flag_on_acyclic_graph(self, duality_file, capsys,
+                                              mode, flags, message):
+        # refused although the single pass uses none of them
+        code = cli.main(["solve", duality_file, "--semantics", "dfq",
+                         "--mode", mode, *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("prop", ["duality", "lipschitz"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_property_check_without_trials(self, capsys, prop, trials):

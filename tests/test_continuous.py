@@ -297,3 +297,31 @@ class TestSolve:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'exact'"):
             solve(FAMILY, qe(1.0), "exact")
+
+
+def reference_rk4_step(bag, spec, delta):
+    """The RK4 step written plainly, with a fresh array per stage."""
+    def step(state, updated):
+        k1 = updated - state
+        k2 = rhs(bag, spec, np.clip(state + 0.5 * delta * k1, 0.0, 1.0))
+        k3 = rhs(bag, spec, np.clip(state + 0.5 * delta * k2, 0.0, 1.0))
+        k4 = rhs(bag, spec, np.clip(state + delta * k3, 0.0, 1.0))
+        return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step
+
+
+class TestRk4Step:
+    @pytest.mark.parametrize("delta", [0.01, 2.5])
+    @pytest.mark.parametrize("spec_name", SOLVE_SPECS)
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_matches_the_plain_step_bit_for_bit(self, path, spec_name, delta):
+        # with delta 2.5 the states leave [0, 1] on every fixture, so the
+        # clamping is compared too
+        bag = parse_bag(path.read_text())
+        spec = SOLVE_SPECS[spec_name]
+        expected = bagsolve.continuous._solve(
+            bag, spec, reference_rk4_step(bag, spec, delta), delta,
+            1e-6, 50.0, record_trajectory=True)
+        result = integrate_rk4(bag, spec, delta=delta, tolerance=1e-6,
+                               t_max=50.0)
+        assert_same_result(result, expected)

@@ -1,7 +1,7 @@
 """The vector update kernel against the per-argument scalar reference.
 
-``update`` evaluates all arguments at once with numpy kernels over the CSR
-edge arrays of ``Bag``; ``aggregate`` over ``parent_vector`` followed by
+``update`` evaluates all arguments at once with numpy kernels over the
+indegree blocks of ``Bag``; ``aggregate`` over ``parent_vector`` followed by
 ``influence`` is the scalar reference. The aggregations add and multiply in
 the same order on both paths, but numpy's ``exp`` and ``power`` may round
 differently from the C library's, so the two may differ by round-off,
@@ -99,12 +99,18 @@ class TestDifferential:
     def test_aggregations_fold_in_scalar_order(self, agg):
         # the linear influence uses only + - * / in the scalar order, so
         # with it any difference would come from the aggregation, which
-        # must add and multiply the parents in the scalar order
-        bag = GRAPHS["family-k50"]
-        spec = spec_for(agg, "linear", bag)
-        s = np.random.default_rng(5).random(bag.n)
-        assert np.array_equal(update(bag, spec, s),
-                              scalar_update(bag, spec, s))
+        # must add and multiply the parents in the scalar order; the rows
+        # kernel is also given the largest indegree alone, a block of one
+        # argument (the star-k1000 center has 2000 parents)
+        for name, bag in GRAPHS.items():
+            spec = spec_for(agg, "linear", bag)
+            s = np.random.default_rng(5).random(bag.n)
+            expected = scalar_update(bag, spec, s)
+            assert np.array_equal(update(bag, spec, s), expected), name
+            widest = int(np.argmax(np.diff(bag.indptr)))
+            for rows in (np.arange(bag.n), np.array([widest])):
+                assert np.array_equal(update_rows(bag, spec, s, rows),
+                                      expected[rows]), name
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_rows_kernel_matches_full_update(self, name):
@@ -116,6 +122,47 @@ class TestDifferential:
             spec = spec_for(agg, infl, bag)
             assert np.array_equal(update_rows(bag, spec, s, rows),
                                   update(bag, spec, s)[rows])
+
+
+class TestIndegreeBlocks:
+    def test_built_once_per_bag(self, monkeypatch):
+        calls = []
+        real = Bag.row_blocks
+        monkeypatch.setattr(Bag, "row_blocks",
+                            lambda bag, rows: calls.append(rows)
+                            or real(bag, rows))
+        bag = generate_family(3, 0.3, 0.8)
+        for agg in AGG_KINDS:
+            spec = spec_for(agg, "euler", bag)
+            for s in states(bag, seed=2):
+                update(bag, spec, s)
+        assert len(calls) == 1
+
+    def test_cache_takes_no_part_in_equality(self):
+        filled = generate_family(3, 0.3, 0.8)
+        fresh = generate_family(3, 0.3, 0.8)
+        update(filled, spec_for("sum", "euler", filled), filled.weights)
+        assert filled == fresh and fresh == filled
+        assert hash(filled) == hash(fresh)
+        assert len({filled, fresh}) == 1
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_blocks_hold_every_edge_once_in_csr_order(self, name):
+        bag = GRAPHS[name]
+        indegree = np.diff(bag.indptr)
+        seen = []
+        for pos, parents, sign in bag.blocks:
+            d = parents.shape[0]
+            assert parents.shape == sign.shape == (d, pos.size)
+            assert parents.flags.c_contiguous and sign.flags.c_contiguous
+            assert pos.size > 1 and np.all(indegree[pos] == d)
+            assert np.all(np.diff(pos) >= 0)
+            for j, i in enumerate(pos.tolist()):
+                row = slice(bag.indptr[i], bag.indptr[i + 1])
+                assert parents[:, j].tolist() == bag.src[row].tolist()
+                assert sign[:, j].tolist() == bag.sign[row].tolist()
+            seen += sorted(set(pos.tolist()))
+        assert sorted(seen) == np.flatnonzero(indegree).tolist()
 
 
 class TestEdgeCases:
