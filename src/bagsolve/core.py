@@ -11,11 +11,12 @@ the parents of argument ``i`` are ``src[indptr[i]:indptr[i + 1]]``, and
 the supporters come first, then the attackers, each in ascending source
 order, so every kernel visits parents in one fixed order.
 
-The update kernel reads the same edges regrouped as indegree blocks: for
-each indegree d >= 1, the arguments with d parents (ascending) and two
-C-contiguous (d, m) arrays holding, column by column, their parents and
-signs in CSR order. A reduction over axis 0 then folds every argument's
-parents one at a time, in that order.
+The update kernel reads the same edges regrouped as indegree blocks: sets
+of arguments with (nearly) the same indegree d, each with a C-contiguous
+(d, m) array of codes that lists, column by column, the arguments' parents
+in CSR order with their signs folded in (see ``IndegreeBlock``). A
+reduction over axis 0 then folds every argument's parents one at a time,
+in that order.
 """
 from __future__ import annotations
 
@@ -62,14 +63,66 @@ def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
 
 
+# Folding one more block costs a fixed number of numpy calls, about as much
+# as folding this many more edge slots (~2-6 us against ~3-5 ns a slot).
+BLOCK_SLOTS = 1024
+
+
+def _indegree_groups(degree: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    # (positions, indegree) of each block, positions ascending. Sorted by
+    # indegree, the positions fall into k runs of one indegree each; adjacent
+    # runs share a block, padded to its top indegree, where that costs fewer
+    # slots than the blocks it saves. A dynamic program over the run
+    # boundaries finds the cheapest partition in O(k^2), so a graph with
+    # many distinct indegrees still makes few blocks.
+    top = int(degree.max()) if degree.size else 0
+    if not top:
+        return []  # no parents: every aggregation is 0
+    have = np.flatnonzero(degree)
+    if top * have.size - int(degree.sum()) <= BLOCK_SLOTS:
+        # one block is cheapest, as on every level of a chain: no sort
+        return [(have, top)]
+    order = np.argsort(degree, kind="stable")
+    ordered = degree[order]
+    first = int(np.searchsorted(ordered, 1))  # the parentless need no block
+    order, ordered = order[first:], ordered[first:]
+    bound = np.flatnonzero(np.diff(ordered, prepend=-1, append=-1))
+    top = ordered[bound[1:] - 1]  # indegree of each run
+    # cost[j]: slots of the cheapest blocks for the first j runs, the last
+    # block holding runs cut[j] + 1 to j
+    cost = np.zeros(top.size + 1, dtype=np.int64)
+    cut = np.zeros(top.size + 1, dtype=np.intp)
+    for j in range(1, top.size + 1):
+        options = cost[:j] + top[j - 1] * (bound[j] - bound[:j])
+        cut[j] = np.argmin(options)
+        cost[j] = options[cut[j]] + BLOCK_SLOTS
+    groups = []
+    j = top.size
+    while j:
+        i = int(cut[j])
+        groups.append((np.sort(order[bound[i]:bound[j]]), int(top[j - 1])))
+        j = i
+    return groups
+
+
 class IndegreeBlock(NamedTuple):
-    """The arguments ``pos`` that share one indegree d >= 1, with their edges
-    as (d, len(pos)) arrays: column j holds the parents and signs of the
-    argument ``pos[j]``, row k its k-th parent in CSR order."""
+    """The arguments ``pos``, each with at most d >= 1 parents, and their
+    edges as a (d, len(pos)) array ``code``: row k of column j codes the
+    k-th parent (CSR order) of ``pos[j]``. With k parent strengths on hand,
+    a code indexes a table of 2k + 1 entries: supporter p is coded p, an
+    attacker p is k + 1 + p, and k pads a column of fewer than d parents
+    (the kernel puts each fold's identity there)."""
 
     pos: np.ndarray
-    parents: np.ndarray
-    sign: np.ndarray
+    code: np.ndarray
+
+
+class Blocks(NamedTuple):
+    """Indegree blocks and the ``parents`` whose strengths their codes
+    number 0..k-1 (``None``: all arguments, in index order)."""
+
+    parents: Optional[np.ndarray]
+    blocks: tuple[IndegreeBlock, ...]
 
 
 class Bag:
@@ -163,41 +216,53 @@ class Bag:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @property
-    def blocks(self) -> tuple[IndegreeBlock, ...]:
+    def blocks(self) -> Blocks:
         """Indegree blocks of all arguments, built on first use and kept."""
         if self._blocks is None:
-            blocks = self.row_blocks(np.arange(self.n))
-            for block in blocks:
+            blocks = self.row_blocks()
+            for block in blocks.blocks:
                 for arr in block:
                     arr.setflags(write=False)
             self._blocks = blocks
         return self._blocks
 
-    def row_blocks(self, rows: np.ndarray) -> tuple[IndegreeBlock, ...]:
-        """Indegree blocks of the arguments ``rows``; each block's ``pos``
-        indexes ``rows``."""
-        # A stable sort by indegree keeps each block's arguments ascending;
-        # a change between neighbours starts a new block.
-        rows = np.asarray(rows, dtype=np.intp)
+    def row_blocks(self, rows: Optional[np.ndarray] = None) -> Blocks:
+        """Indegree blocks of the arguments ``rows`` (default: all), with
+        each block's ``pos`` indexing ``rows``. For a subset the codes
+        number the blocks' own slots, block after block, so the blocks cost
+        O(len(rows) + their parents) whatever the size of the graph."""
+        full = rows is None
+        rows = np.arange(self.n) if full else np.asarray(rows, dtype=np.intp)
         starts = self.indptr[rows]
         degree = self.indptr[rows + 1] - starts
-        order = np.argsort(degree, kind="stable")
-        degree = degree[order]
-        cuts = np.flatnonzero(np.diff(degree, prepend=-1, append=-1)).tolist()
-        blocks = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            d = int(degree[lo])
-            if d == 0:
-                continue  # no parents: every aggregation is 0
-            pos = order[lo:hi]
+        groups = []
+        for pos, d in _indegree_groups(degree):
             if pos.size == 1:
                 # numpy reduces a one-column block as a 1-D array, pairwise;
                 # a second copy of the column keeps the fold sequential
                 pos = np.repeat(pos, 2)
-            slots = np.arange(d)[:, None] + starts[pos]
-            blocks.append(IndegreeBlock(pos, self.src[slots],
-                                        self.sign[slots]))
-        return tuple(blocks)
+            k_th = np.arange(d)[:, None]
+            slots = k_th + starts[pos]
+            live = k_th < degree[pos]
+            if not live.all():
+                slots[~live] = 0
+            groups.append((pos, slots, live))
+        k = self.n if full else sum(slots.size for _, slots, _ in groups)
+        blocks, parents, offset = [], [], 0
+        for pos, slots, live in groups:
+            if full:
+                at = self.src[slots]
+            else:
+                parents.append(self.src[slots].ravel())
+                at = np.arange(offset, offset + slots.size).reshape(slots.shape)
+                offset += slots.size
+            code = np.where(self.sign[slots] < 0.0, at + (k + 1), at)
+            code[~live] = k
+            blocks.append(IndegreeBlock(pos, code))
+        if not full:
+            parents = (np.concatenate(parents) if parents
+                       else np.zeros(0, dtype=np.intp))
+        return Blocks(None if full else parents, tuple(blocks))
 
     def _relation(self, sign: float) -> frozenset[Edge]:
         mask = self.sign == sign

@@ -179,18 +179,28 @@ def write_trajectory_csv(
     if len(trajectory) == 0:
         raise ValueError("refusing to write an empty trajectory")
     width = len(names)
-    rows = ["t," + ",".join(names)]
-    for t, state in zip(trajectory.times, trajectory.states):
+    for state in trajectory.states:
         if len(state) != width:
             raise ValueError(
                 f"state arity {len(state)} does not match {width} names")
-        rows.append(_format_time(t) + "," + ",".join(repr(float(x)) for x in state))
-    payload = "\n".join(rows) + "\n"
+    # one line at a time: the whole table as one string would take several
+    # times the memory of the trajectory itself
+    def rows():
+        yield "t," + ",".join(names) + "\n"
+        for t, state in zip(trajectory.times, trajectory.states):
+            values = np.asarray(state, dtype=float).tolist()
+            yield _format_time(t) + "," + ",".join(map(repr, values)) + "\n"
 
+    lines = rows()
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(payload, encoding="utf-8")
+        with open(sink, "w", encoding="utf-8") as out:
+            out.writelines(lines)
         return
+    header = next(lines)
     try:
-        sink.write(payload)
+        sink.write(header)
     except TypeError:
-        sink.write(payload.encode("utf-8"))
+        sink.write(header.encode("utf-8"))
+        sink.writelines(line.encode("utf-8") for line in lines)
+    else:
+        sink.writelines(lines)

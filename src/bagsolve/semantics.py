@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Bag, IndegreeBlock
+from .core import Bag, Blocks
 
 SUM = "sum"
 PRODUCT = "product"
@@ -211,26 +211,41 @@ def influence(spec: SemanticsSpec, w: float, a: float) -> float:
 # so they agree exactly; ``euler`` and ``pmax`` may differ by round-off,
 # since numpy's exp and power are not the C library's.
 
-def _aggregate_blocks(kind: str, m: int, blocks: Sequence[IndegreeBlock],
+def _aggregate_blocks(kind: str, m: int, blocks: Blocks,
                       s: np.ndarray) -> np.ndarray:
     # One axis-0 reduction per indegree block. Numpy reduces axis 0 of a
     # C-contiguous (d, m) array one row at a time, so each argument folds
     # its parents in CSR order, supporters then attackers, as the scalar
-    # fold does. Masked-out parents contribute the exact identities 1.0 of
-    # the product and 0.0 of the max, which leave the result unchanged.
+    # fold does. The codes index tables built from the k parent strengths
+    # x: [x | 0 | -x] for the sum, which adds -x exactly as the scalar
+    # fold subtracts x; for product and top one table per side, whose
+    # other half and padding hold the fold's identity (1.0 - 0.0 = 1.0 and
+    # 0.0, which the scalar fold starts from).
+    x = s if blocks.parents is None else s[blocks.parents]
+    k = x.size
     a = np.zeros(m)  # parentless arguments aggregate to 0
-    for pos, parents, sign in blocks:
-        v = s[parents]
-        if kind == SUM:
-            v *= sign
-            a[pos] = v.sum(axis=0)
-        elif kind == PRODUCT:
-            v = 1.0 - v
-            a[pos] = (np.where(sign < 0.0, v, 1.0).prod(axis=0)
-                      - np.where(sign > 0.0, v, 1.0).prod(axis=0))
+    if kind == SUM:
+        table = np.empty(2 * k + 1)
+        table[:k] = x
+        table[k] = 0.0
+        np.negative(x, out=table[k + 1:])
+        for pos, code in blocks.blocks:
+            a[pos] = table[code].sum(axis=0)
+        return a
+    if kind == PRODUCT:
+        u = 1.0 - x
+        rest = np.ones(k + 1)
+    else:
+        u = x
+        rest = np.zeros(k + 1)
+    sup = np.concatenate((u, rest))
+    att = np.concatenate((rest, u))
+    for pos, code in blocks.blocks:
+        if kind == PRODUCT:
+            a[pos] = att[code].prod(axis=0) - sup[code].prod(axis=0)
         else:
-            a[pos] = (np.where(sign > 0.0, v, 0.0).max(axis=0)
-                      - np.where(sign < 0.0, v, 0.0).max(axis=0))
+            a[pos] = (np.maximum.reduce(sup[code], axis=0, initial=0.0)
+                      - np.maximum.reduce(att[code], axis=0, initial=0.0))
     return a
 
 

@@ -212,6 +212,26 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="arity"):
             write_trajectory_csv(traj, ["a"], stdio.StringIO())
 
+    def test_arity_mismatch_writes_no_file(self, tmp_path):
+        traj = Trajectory()
+        traj.append(0, [0.5])
+        traj.append(1, [0.5, 0.25])
+        target = tmp_path / "run.csv"
+        with pytest.raises(ValueError, match="arity"):
+            write_trajectory_csv(traj, ["a"], target)
+        assert not target.exists()
+
+    def test_every_sink_gets_the_same_text(self, tmp_path):
+        bag = generate_family(1, 0.9, 0.1)
+        traj = integrate_rk4(bag, dfq(1.0), delta=0.25).trajectory
+        text, binary = stdio.StringIO(), stdio.BytesIO()
+        target = tmp_path / "run.csv"
+        for sink in (text, binary, target):
+            write_trajectory_csv(traj, bag.names, sink)
+        assert binary.getvalue().decode("utf-8") == text.getvalue()
+        assert target.read_bytes() == binary.getvalue()
+        assert len(text.getvalue().splitlines()) == len(traj) + 1
+
     def test_binary_sink(self):
         traj = Trajectory()
         traj.append(0, [0.5])

@@ -124,19 +124,28 @@ class TestDifferential:
                                   update(bag, spec, s)[rows])
 
 
+def decode(blocks, k: int):
+    """(pos, parents, signs, padding) of each block, with parents numbered
+    0..k-1 as the codes number them."""
+    for pos, code in blocks.blocks:
+        attack = code > k
+        parents = np.where(attack, code - (k + 1), code)
+        yield pos, parents, np.where(attack, -1.0, 1.0), code == k
+
+
 class TestIndegreeBlocks:
     def test_built_once_per_bag(self, monkeypatch):
         calls = []
         real = Bag.row_blocks
         monkeypatch.setattr(Bag, "row_blocks",
-                            lambda bag, rows: calls.append(rows)
+                            lambda bag, rows=None: calls.append(rows)
                             or real(bag, rows))
         bag = generate_family(3, 0.3, 0.8)
         for agg in AGG_KINDS:
             spec = spec_for(agg, "euler", bag)
             for s in states(bag, seed=2):
                 update(bag, spec, s)
-        assert len(calls) == 1
+        assert calls == [None]
 
     def test_cache_takes_no_part_in_equality(self):
         filled = generate_family(3, 0.3, 0.8)
@@ -149,20 +158,50 @@ class TestIndegreeBlocks:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_blocks_hold_every_edge_once_in_csr_order(self, name):
         bag = GRAPHS[name]
-        indegree = np.diff(bag.indptr)
-        seen = []
-        for pos, parents, sign in bag.blocks:
-            d = parents.shape[0]
-            assert parents.shape == sign.shape == (d, pos.size)
-            assert parents.flags.c_contiguous and sign.flags.c_contiguous
-            assert pos.size > 1 and np.all(indegree[pos] == d)
-            assert np.all(np.diff(pos) >= 0)
-            for j, i in enumerate(pos.tolist()):
-                row = slice(bag.indptr[i], bag.indptr[i + 1])
-                assert parents[:, j].tolist() == bag.src[row].tolist()
-                assert sign[:, j].tolist() == bag.sign[row].tolist()
-            seen += sorted(set(pos.tolist()))
-        assert sorted(seen) == np.flatnonzero(indegree).tolist()
+        rng = np.random.default_rng(4)
+        subset = np.sort(rng.choice(bag.n, size=bag.n // 2, replace=False))
+        for rows in (None, subset):
+            blocks = bag.row_blocks(rows)
+            rows = np.arange(bag.n) if rows is None else rows
+            number = (np.arange(bag.n) if blocks.parents is None
+                      else blocks.parents)
+            indegree = np.diff(bag.indptr)[rows]
+            seen = []
+            for pos, parents, sign, pad in decode(blocks, number.size):
+                d = parents.shape[0]
+                assert parents.shape == (d, pos.size) and parents.flags.c_contiguous
+                assert pos.size > 1 and np.all(np.diff(pos) >= 0)
+                for j, i in enumerate(rows[pos].tolist()):
+                    row = slice(bag.indptr[i], bag.indptr[i + 1])
+                    live = ~pad[:, j]
+                    # the padding, if any, ends the column
+                    assert live.tolist() == sorted(live.tolist(), reverse=True)
+                    assert number[parents[live, j]].tolist() == bag.src[row].tolist()
+                    assert sign[live, j].tolist() == bag.sign[row].tolist()
+                seen += sorted(set(pos.tolist()))
+            assert sorted(seen) == np.flatnonzero(indegree).tolist()
+
+    def test_many_distinct_indegrees_share_few_blocks(self):
+        # indegrees 1..300, one argument each, parents and signs drawn at
+        # random: one block per indegree would make 300 blocks; padding
+        # them together costs fewer slots
+        n = 301
+        rng = np.random.default_rng(6)
+        edges = ([], [])
+        for i in range(1, n):
+            for j in rng.choice(n - 1, size=i, replace=False).tolist():
+                edges[rng.random() < 0.5].append((j + (j >= i), i))
+        bag = Bag([f"a{i}" for i in range(n)], rng.random(n), *edges)
+        assert len(bag.blocks.blocks) <= 30
+        s = rng.random(n)
+        rows = np.sort(rng.choice(n, size=100, replace=False))
+        assert len(bag.row_blocks(rows).blocks) > 1
+        for agg in AGG_KINDS:
+            spec = spec_for(agg, "linear", bag)
+            expected = scalar_update(bag, spec, s)
+            assert np.array_equal(update(bag, spec, s), expected)
+            assert np.array_equal(update_rows(bag, spec, s, rows),
+                                  expected[rows])
 
 
 class TestEdgeCases:
