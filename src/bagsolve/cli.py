@@ -78,15 +78,14 @@ def _name_width(bag: Bag) -> int:
 def _print_strengths(bag: Bag, strengths) -> None:
     width = _name_width(bag)
     sys.stdout.write(f"{'argument':<{width}}  {'weight':>8}  {'strength':>8}\n")
+    row = f"%-{width}s  %8.6f  %8.6f\n"
     # one write per 1024 rows: nearly as fast as one write for the whole
     # table, without holding all of it as Python strings and floats
     for lo in range(0, bag.n, 1024):
         hi = lo + 1024
-        sys.stdout.write("".join(
-            f"{name:<{width}}  {w:8.6f}  {s:8.6f}\n"
-            for name, w, s in zip(bag.names[lo:hi],
-                                  bag.weights[lo:hi].tolist(),
-                                  strengths[lo:hi].tolist())))
+        sys.stdout.write("".join(map(row.__mod__, zip(
+            bag.names[lo:hi], bag.weights[lo:hi].tolist(),
+            strengths[lo:hi].tolist()))))
 
 
 def _report_result(bag: Bag, mode: str, result: SolveResult) -> int:

@@ -23,16 +23,24 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .core import Bag
+from .core import Bag, BagValidationError
 from .results import Trajectory
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# \d+(?:\.\d*)? rather than \d+\.?\d*: the two match the same literals, but
+# the second backtracks quadratically over a long digit run that fails
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 
-_ARG_RE = re.compile(
-    rf"arg\s*\(\s*(?P<name>{_NAME})\s*,\s*(?P<weight>{_NUMBER})\s*\)\s*\.")
-_EDGE_RE = re.compile(
-    rf"(?P<kind>att|sup)\s*\(\s*(?P<src>{_NAME})\s*,\s*(?P<dst>{_NAME})\s*\)\s*\.")
+# One match per statement, starting at its first non-blank character. An
+# argument fills groups 1-2 (name, weight), an attack groups 3-4 and a
+# support groups 5-6 (source, target). A malformed statement fills none; it
+# runs to the period that ends it, where a period followed by a digit is a
+# decimal point, so a statement with a weight in it gives one diagnostic.
+_STATEMENT_RE = re.compile(
+    rf"arg\s*\(\s*({_NAME})\s*,\s*({_NUMBER})\s*\)\s*\."
+    rf"|att\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
+    rf"|sup\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
+    r"|(?=\S)(?:[^.]|\.(?=\d))*\.?")
 _COMMENT_RE = re.compile(r"#[^\n]*|//[^\n]*")
 
 
@@ -64,84 +72,89 @@ def _blank_comments(text: str) -> str:
 def parse_bag(source: Union[str, IO[str]]) -> Bag:
     """Parse BAG text into a validated Bag.
 
-    Raises BagParseError carrying one line/column-anchored diagnostic per
-    problem found; parsing continues past errors so several can be reported
-    at once.
+    A leading byte-order mark is ignored. Raises BagParseError carrying one
+    line/column-anchored diagnostic per problem found; parsing continues
+    past errors so several can be reported at once.
     """
     text = source if isinstance(source, str) else source.read()
-    clean = _blank_comments(text)
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if "#" in text or "//" in text:
+        text = _blank_comments(text)
+    # split() lists the blanks before each statement, then its six groups
+    # (None if unmatched): one list of strings, not a tuple per statement
+    parts = _STATEMENT_RE.split(text)
+    stride = _STATEMENT_RE.groups + 1
+    statements = len(parts) // stride
+    names, weight_texts, att_src, att_dst, sup_src, sup_dst = (
+        list(filter(None, parts[i::stride])) for i in range(1, stride))
+    del parts  # freed before Bag allocates its arrays: a lower peak
+    weights = list(map(float, weight_texts))
+    index = dict(zip(names, range(len(names))))
+    if (len(names) + len(att_src) + len(sup_src) == statements  # none malformed
+            and len(index) == len(names)
+            and 0.0 <= min(weights, default=0.0)
+            and max(weights, default=0.0) <= 1.0):
+        get = index.__getitem__
+        try:
+            attacks = zip(list(map(get, att_src)), list(map(get, att_dst)))
+            supports = zip(list(map(get, sup_src)), list(map(get, sup_dst)))
+            return Bag(names, weights, attacks, supports)
+        except (KeyError, BagValidationError):
+            pass  # an undeclared name, or a pair both attack and support
+    raise BagParseError(_diagnose(text))
+
+
+def _diagnose(text: str) -> list[ParseDiagnostic]:
+    # Every problem in text (comments blanked), in the order: malformed
+    # statements, then declarations, then edges. parse_bag calls this only
+    # when a check failed, and each check has its diagnostic here.
     diagnostics: list[ParseDiagnostic] = []
-    line_starts: list[int] = []  # filled on the first diagnostic
+    line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
 
     def error(offset: int, message: str) -> None:
-        if not line_starts:
-            line_starts.append(0)
-            line_starts.extend(m.end() for m in re.finditer("\n", clean))
         line = bisect_right(line_starts, offset)
         diagnostics.append(ParseDiagnostic(
             line, offset - line_starts[line - 1] + 1, message))
 
-    # lexical pass: collect statements, recovering at the next period
     arg_stmts: list[tuple[int, str, str]] = []   # (offset, name, weight text)
     edge_stmts: list[tuple[int, str, str, str]] = []  # (offset, kind, src, dst)
-    pos = 0
-    end = len(clean)
-    while pos < end:
-        if clean[pos].isspace():
-            pos += 1
-            continue
-        m = _ARG_RE.match(clean, pos)
-        if m:
-            arg_stmts.append((pos, m.group("name"), m.group("weight")))
-            pos = m.end()
-            continue
-        m = _EDGE_RE.match(clean, pos)
-        if m:
-            edge_stmts.append((pos, m.group("kind"), m.group("src"), m.group("dst")))
-            pos = m.end()
-            continue
-        error(pos, f"malformed statement (expected arg/att/sup): "
-                   f"{clean[pos:pos + 24].split(chr(10))[0].rstrip()!r}")
-        skip = clean.find(".", pos)
-        pos = end if skip == -1 else skip + 1
+    for m in _STATEMENT_RE.finditer(text):
+        pos = m.start()
+        name, weight, att_src, att_dst, sup_src, sup_dst = m.groups()
+        if name:
+            arg_stmts.append((pos, name, weight))
+        elif att_src:
+            edge_stmts.append((pos, "att", att_src, att_dst))
+        elif sup_src:
+            edge_stmts.append((pos, "sup", sup_src, sup_dst))
+        else:
+            error(pos, f"malformed statement (expected arg/att/sup): "
+                       f"{text[pos:pos + 24].split(chr(10))[0].rstrip()!r}")
 
-    # declaration pass
-    names: list[str] = []
-    weights: list[float] = []
-    index: dict[str, int] = {}
+    declared: set[str] = set()
     for offset, name, weight_text in arg_stmts:
-        if name in index:
+        if name in declared:
             error(offset, f"duplicate declaration of argument {name!r}")
             continue
-        w = float(weight_text)
-        if not 0.0 <= w <= 1.0:
+        if not 0.0 <= float(weight_text) <= 1.0:
             error(offset, f"weight {weight_text} of argument {name!r} "
                           f"outside [0,1]")
-            w = min(max(w, 0.0), 1.0)  # keep the name known so edges resolve
-        index[name] = len(names)
-        names.append(name)
-        weights.append(w)
+        declared.add(name)  # known despite a bad weight, so edges resolve
 
-    # edge pass
-    attacks: set[tuple[int, int]] = set()
-    supports: set[tuple[int, int]] = set()
+    relations: dict[str, set[tuple[str, str]]] = {"att": set(), "sup": set()}
     for offset, kind, src, dst in edge_stmts:
-        missing = [n for n in (src, dst) if n not in index]
+        missing = [n for n in (src, dst) if n not in declared]
         if missing:
             for n in missing:
                 error(offset, f"edge references undeclared argument {n!r}")
             continue
-        pair = (index[src], index[dst])
-        other = supports if kind == "att" else attacks
-        if pair in other:
+        if (src, dst) in relations["sup" if kind == "att" else "att"]:
             error(offset, f"({src},{dst}) is declared both as attack and "
                           f"support; a parent must be one or the other")
             continue
-        (attacks if kind == "att" else supports).add(pair)
-
-    if diagnostics:
-        raise BagParseError(diagnostics)
-    return Bag(names, weights, attacks, supports)
+        relations[kind].add((src, dst))
+    return diagnostics
 
 
 def serialize_bag(bag: Bag) -> str:

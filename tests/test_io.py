@@ -1,7 +1,10 @@
 import io as stdio
+import time
 
 import pytest
 from hypothesis import given, strategies as st
+
+from conftest import bags
 
 from bagsolve import (
     Bag,
@@ -53,6 +56,118 @@ class TestParse:
     def test_forward_edge_reference_is_fine(self):
         bag = parse_bag("att(a,b). arg(a,0.5). arg(b,0.5).")
         assert bag.attacks == {(0, 1)}
+
+
+MALFORMED = "malformed statement (expected arg/att/sup): "
+COLLISION = ("(a,b) is declared both as attack and support; "
+             "a parent must be one or the other")
+
+# input text -> the exact (line, column, message) of every diagnostic, in
+# the order reported: malformed statements, then declarations, then edges
+PINNED_DIAGNOSTICS = {
+    "junk": ("foo(a,b).", [(1, 1, MALFORMED + "'foo(a,b).'")]),
+    "duplicate": ("arg(a,0.5).\narg(a,0.7).", [
+        (2, 1, "duplicate declaration of argument 'a'"),
+    ]),
+    "weight-above-one": ("arg(a,1.5).", [
+        (1, 1, "weight 1.5 of argument 'a' outside [0,1]"),
+    ]),
+    "weight-below-zero": ("arg(a,-0.25).", [
+        (1, 1, "weight -0.25 of argument 'a' outside [0,1]"),
+    ]),
+    "weight-overflows": ("arg(a,1e999).", [
+        (1, 1, "weight 1e999 of argument 'a' outside [0,1]"),
+    ]),
+    "undeclared": ("arg(a,0.5).\natt(a,ghost).", [
+        (2, 1, "edge references undeclared argument 'ghost'"),
+    ]),
+    "both-undeclared": ("att(x,y).", [
+        (1, 1, "edge references undeclared argument 'x'"),
+        (1, 1, "edge references undeclared argument 'y'"),
+    ]),
+    "collision": ("arg(a,0.5). arg(b,0.5).\natt(a,b).\nsup(a,b).", [
+        (3, 1, COLLISION),
+    ]),
+    "collision-repeated": (
+        "arg(a,.5).arg(b,.5).sup(a,b).att(a,b).att(a,b).", [
+            (1, 30, COLLISION),
+            (1, 39, COLLISION),
+        ]),
+    "comments": (
+        "# arg(x,2).\narg(a,0.5). // att(a,zz).\nfoo. # att(q,q).\n", [
+            (3, 1, MALFORMED + "'foo.'"),
+        ]),
+    "shared-line": ("arg(a,0.5). arg(b,2). att(a,c). bar.", [
+        (1, 33, MALFORMED + "'bar.'"),
+        (1, 13, "weight 2 of argument 'b' outside [0,1]"),
+        (1, 23, "edge references undeclared argument 'c'"),
+    ]),
+    "crlf": ("arg(a,0.5).\r\narg(b,1.5).\r\natt(a,zz).\r\n", [
+        (2, 1, "weight 1.5 of argument 'b' outside [0,1]"),
+        (3, 1, "edge references undeclared argument 'zz'"),
+    ]),
+    "tabs": ("\targ(a,0.5).\t\tatt(a,\tq).\n\tjunk here.", [
+        (2, 2, MALFORMED + "'junk here.'"),
+        (1, 15, "edge references undeclared argument 'q'"),
+    ]),
+    "lone-periods": ("arg(a,0.5). . .. arg(b,0.5).", [
+        (1, 13, MALFORMED + "'. .. arg(b,0.5).'"),
+        (1, 15, MALFORMED + "'.. arg(b,0.5).'"),
+        (1, 16, MALFORMED + "'. arg(b,0.5).'"),
+    ]),
+    "trailing-junk": ("arg(a,0.5).\nxyz", [(2, 1, MALFORMED + "'xyz'")]),
+    "mixed": ("arg(a,2).\narg(a,0.5).\natt(a,nope).", [
+        (1, 1, "weight 2 of argument 'a' outside [0,1]"),
+        (2, 1, "duplicate declaration of argument 'a'"),
+        (3, 1, "edge references undeclared argument 'nope'"),
+    ]),
+    "split-statements": ("arg(\n a ,\n 1.5\n ) .\natt(a,\nb).", [
+        (1, 1, "weight 1.5 of argument 'a' outside [0,1]"),
+        (5, 1, "edge references undeclared argument 'b'"),
+    ]),
+    "comment-inside-statement": ("arg(a, # weight next\n 1.5).", [
+        (1, 1, "weight 1.5 of argument 'a' outside [0,1]"),
+    ]),
+    "long-junk": ("this_is_a_very_long_statement_without_a_period_anywhere", [
+        (1, 1, MALFORMED + "'this_is_a_very_long_stat'"),
+    ]),
+    "junk-over-newline": ("bad\nmore.", [(1, 1, MALFORMED + "'bad'")]),
+    "unknown-keyword": ("arg(a,0.5).attack(a,a).", [
+        (1, 12, MALFORMED + "'attack(a,a).'"),
+    ]),
+    "nbsp": ("arg(a,0.5).\xa0arg(b,2).", [
+        (1, 13, "weight 2 of argument 'b' outside [0,1]"),
+    ]),
+    "capitalised": ("Arg(a,1).", [(1, 1, MALFORMED + "'Arg(a,1).'")]),
+    "edge-before-junk": ("att(a,b). ?? arg(a,1).", [
+        (1, 11, MALFORMED + "'?? arg(a,1).'"),
+        (1, 1, "edge references undeclared argument 'a'"),
+        (1, 1, "edge references undeclared argument 'b'"),
+    ]),
+}
+
+# Recovery skips a malformed statement up to its closing period, and a
+# period followed by a digit is a decimal point, not the end: each of these
+# inputs holds one malformed statement and gets one diagnostic.
+ONE_MALFORMED_STATEMENT = {
+    "missing-period": ("arg(a,0.5)\n", [
+        (1, 1, MALFORMED + "'arg(a,0.5)'"),
+    ]),
+    "missing-period-then-statement": ("arg(a,0.5)\narg(b,0.25).", [
+        (1, 1, MALFORMED + "'arg(a,0.5)'"),
+    ]),
+    "non-ascii-name": ("arg(x,0.1).\narg(\xe9,0.5).", [
+        (2, 1, MALFORMED + "'arg(\xe9,0.5).'"),
+    ]),
+    "digit-name": ("arg(1a,0.5).", [(1, 1, MALFORMED + "'arg(1a,0.5).'")]),
+    "bare-number": ("1.5.", [(1, 1, MALFORMED + "'1.5.'")]),
+}
+
+
+def diagnostics_of(text):
+    with pytest.raises(BagParseError) as err:
+        parse_bag(text)
+    return [(d.line, d.column, d.message) for d in err.value.diagnostics]
 
 
 class TestDiagnostics:
@@ -110,6 +225,33 @@ class TestDiagnostics:
             (line, 2) for line in range(2, 5002)]
 
 
+    @pytest.mark.parametrize("key", PINNED_DIAGNOSTICS)
+    def test_pinned_diagnostics(self, key):
+        text, expected = PINNED_DIAGNOSTICS[key]
+        assert diagnostics_of(text) == expected
+
+    @pytest.mark.parametrize("key", ONE_MALFORMED_STATEMENT)
+    def test_one_diagnostic_per_malformed_statement(self, key):
+        text, expected = ONE_MALFORMED_STATEMENT[key]
+        assert diagnostics_of(text) == expected
+
+    def test_byte_order_mark_is_ignored(self):
+        text = "arg(a,0.5).\narg(b,0.25).\natt(a,b).\n"
+        assert parse_bag("\ufeff" + text) == parse_bag(text)
+        assert parse_bag(stdio.StringIO("\ufeff" + text)) == parse_bag(text)
+        # columns on line 1 count from the first visible character
+        assert diagnostics_of("\ufeffarg(a,2).") == [
+            (1, 1, "weight 2 of argument 'a' outside [0,1]")]
+
+    def test_long_digit_run_fails_in_linear_time(self):
+        # a number pattern that backtracks quadratically takes ~30 s on this
+        text = "arg(a," + "1" * 30_000 + "x)."
+        started = time.perf_counter()
+        assert diagnostics_of(text) == [
+            (1, 1, MALFORMED + "'arg(a,111111111111111111'")]
+        assert time.perf_counter() - started < 2.0
+
+
 class TestSerialize:
     def test_minimal_bag(self):
         assert serialize_bag(Bag(["a"], [0.5])) == "arg(a,0.5).\n"
@@ -157,6 +299,44 @@ def named_bags(draw):
 @given(named_bags())
 def test_random_roundtrip(bag):
     assert parse_bag(serialize_bag(bag)) == bag
+
+
+# blanks and comments that may stand between two statements
+FILLERS = st.sampled_from([
+    "", " ", "\t", "\n", "\r\n", "\n\n", "\xa0", "#\n",
+    "  # note arg(x,2).\n", "// att(n0,zz). sup(n0,n0).\n",
+])
+
+
+@given(bags(), st.data())
+def test_roundtrip_with_blanks_and_comments(bag, data):
+    statements = serialize_bag(bag).splitlines()
+    text = "".join(data.draw(FILLERS) + s for s in statements)
+    assert parse_bag(text + data.draw(FILLERS)) == bag
+
+
+# pieces of the grammar and of near misses, spliced at random by the fuzzer
+PIECES = st.one_of(
+    st.sampled_from([
+        "arg(", "att(", "sup(", "a", "b", "x_1", "\xe9", "0.5", "1", ".25",
+        "-3", "1e-9", "2e400", "7.", ",", "(", ")", ".", "#c\n",
+        "# arg(a,1).\n", "//", " ", "\n", "\r\n", "\t", "\xa0", "\ufeff",
+    ]),
+    st.text(max_size=2),
+)
+
+
+@given(st.lists(PIECES, max_size=30).map("".join))
+def test_any_text_gives_a_bag_or_diagnostics(text):
+    try:
+        bag = parse_bag(text)
+    except BagParseError as err:
+        lines = text.count("\n") + 1
+        assert err.diagnostics
+        assert all(1 <= d.line <= lines and d.column >= 1
+                   for d in err.diagnostics)
+    else:
+        assert isinstance(bag, Bag)
 
 
 class TestTrajectoryCsv:
