@@ -71,25 +71,24 @@ def _load_bag(path: str) -> Bag:
     return parse_bag(text)
 
 
-def _name_width(bag: Bag) -> int:
-    return max(8, *(len(n) for n in bag.names)) if bag.n else 8
-
-
-def _print_strengths(bag: Bag, strengths) -> None:
-    width = _name_width(bag)
-    sys.stdout.write(f"{'argument':<{width}}  {'weight':>8}  {'strength':>8}\n")
-    row = f"%-{width}s  %8.6f  %8.6f\n"
-    # one write per 1024 rows: nearly as fast as one write for the whole
-    # table, without holding all of it as Python strings and floats
+def _print_table(bag: Bag, field: int, columns: dict) -> None:
+    # A header, then one row per argument: its name and its value in each
+    # column (heading -> numpy array), as fixed-point numbers ``field``
+    # characters wide. One write per 1024 rows is nearly as fast as one
+    # write for the whole table, without holding all of it as Python
+    # strings and floats.
+    width = max(8, *(len(n) for n in bag.names)) if bag.n else 8
+    sys.stdout.write(f"{'argument':<{width}}"
+                     + "".join(f"  {head:>{field}}" for head in columns) + "\n")
+    row = f"%-{width}s" + f"  %{field}.6f" * len(columns) + "\n"
     for lo in range(0, bag.n, 1024):
         hi = lo + 1024
         sys.stdout.write("".join(map(row.__mod__, zip(
-            bag.names[lo:hi], bag.weights[lo:hi].tolist(),
-            strengths[lo:hi].tolist()))))
+            bag.names[lo:hi], *(c[lo:hi].tolist() for c in columns.values())))))
 
 
 def _report_result(bag: Bag, mode: str, result: SolveResult) -> int:
-    _print_strengths(bag, result.strengths)
+    _print_table(bag, 8, {"weight": bag.weights, "strength": result.strengths})
     print(f"mode: {mode}")
     print(f"outcome: {result.outcome.value}")
     if mode in ("euler", "rk4"):
@@ -121,10 +120,7 @@ def cmd_certify(args) -> int:
     bag = _load_bag(args.input)
     spec = _build_spec(args)
     cert = discrete.certify(bag, spec)
-    width = _name_width(bag)
-    print(f"{'argument':<{width}}  {'lambda':>10}")
-    for name, lam in zip(bag.names, cert.per_argument_lambda):
-        print(f"{name:<{width}}  {lam:10.6f}")
+    _print_table(bag, 10, {"lambda": cert.per_argument_lambda})
     print(f"global-lambda: {cert.global_lambda:.6f}")
     print(f"guaranteed: {'yes' if cert.guaranteed else 'no'}")
     if cert.guaranteed:
@@ -185,13 +181,9 @@ def _check_open_mindedness(args, spec: SemanticsSpec) -> int:
         print(f"open-mindedness: {result.outcome.value} — no final "
               f"strengths to check")
         return 2
-    strengths = result.strengths
-    width = _name_width(bag)
-    print(f"{'argument':<{width}}  {'lower':>8}  {'strength':>8}  {'upper':>8}")
-    for i, name in enumerate(bag.names):
-        print(f"{name:<{width}}  {bound.lower[i]:8.6f}  {strengths[i]:8.6f}"
-              f"  {bound.upper[i]:8.6f}")
-    ok = bound.contains(strengths)
+    _print_table(bag, 8, {"lower": bound.lower, "strength": result.strengths,
+                          "upper": bound.upper})
+    ok = bound.contains(result.strengths)
     print(f"open-mindedness: {'pass' if ok else 'fail'}")
     return 0 if ok else 2
 

@@ -20,7 +20,6 @@ in that order.
 """
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -53,14 +52,6 @@ def _edge_codes(edges: Iterable[Edge], n: int, label: str) -> np.ndarray:
         raise BagValidationError(
             f"{label} edge ({u},{v}) references a missing argument")
     return _distinct(pairs[:, 1] * n + pairs[:, 0])
-
-
-def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # Positions of the entries of CSR rows ``rows``, concatenated in row order.
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    offsets = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(starts - offsets, counts)
 
 
 # Folding one more block costs a fixed number of numpy calls, about as much
@@ -331,38 +322,47 @@ def max_indegree(bag: Bag) -> int:
     return int(np.diff(bag.indptr).max(initial=0))
 
 
-def _children(bag: Bag) -> tuple[np.ndarray, np.ndarray]:
-    # the edges regrouped by source, as CSR (child_ptr, children)
-    by_source = np.argsort(bag.src, kind="stable")
-    child_ptr = np.zeros(bag.n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(bag.src, minlength=bag.n), out=child_ptr[1:])
-    return child_ptr, bag.targets()[by_source]
+def _depths(bag: Bag) -> Optional[np.ndarray]:
+    # Level of every argument by one FIFO Kahn sweep over Python lists, or
+    # None when the graph is cyclic. The queue is consumed in order of
+    # level: it starts with the level-0 arguments, and each consumed
+    # argument of level k appends only arguments of level k + 1. So the
+    # parent that releases an argument, its last parent to leave the queue,
+    # is one of its deepest parents, and the argument's level is that
+    # parent's + 1.
+    n = bag.n
+    by_source = np.argsort(bag.src)  # the order of children changes no level
+    child_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(bag.src, minlength=n), out=child_ptr[1:])
+    child_ptr = child_ptr.tolist()
+    children = bag.targets()[by_source].tolist()
+    indegree = np.diff(bag.indptr)
+    pending = indegree.tolist()
+    depth = [0] * n
+    queue = np.flatnonzero(indegree == 0).tolist()
+    for u in queue:  # also visits what the loop appends
+        below = depth[u] + 1
+        for v in children[child_ptr[u]:child_ptr[u + 1]]:
+            left = pending[v] - 1
+            pending[v] = left
+            if not left:
+                depth[v] = below
+                queue.append(v)
+    if len(queue) < n:
+        return None
+    # numpy sorts integers of up to 16 bits by radix, in linear time
+    return np.array(depth, dtype=np.min_scalar_type(n))
 
 
 def topological_order(bag: Bag) -> Optional[list[int]]:
     """Topological order over attacks+supports, or None when the graph is cyclic.
 
     Every edge (u, v) satisfies position(u) < position(v) in the returned
-    order. Among the ready arguments the smallest index is emitted first, so
-    the order is deterministic.
+    order. It lists the levels of ``topological_levels`` one after the
+    other, so the order is deterministic: by level, then by index.
     """
-    child_ptr, children = _children(bag)
-    child_ptr, children = child_ptr.tolist(), children.tolist()
-    pending = np.diff(bag.indptr).tolist()
-
-    ready = [i for i in range(bag.n) if pending[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        u = heapq.heappop(ready)
-        order.append(u)
-        for v in children[child_ptr[u]:child_ptr[u + 1]]:
-            pending[v] -= 1
-            if pending[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) < bag.n:
-        return None
-    return order
+    depth = _depths(bag)
+    return None if depth is None else np.argsort(depth, kind="stable").tolist()
 
 
 def topological_levels(bag: Bag) -> Optional[list[np.ndarray]]:
@@ -371,17 +371,12 @@ def topological_levels(bag: Bag) -> Optional[list[np.ndarray]]:
     Level 0 holds the parentless arguments and level k those whose longest
     path from a parentless argument has k edges, so every parent of an
     argument sits in an earlier level. Each level is sorted by index. The
-    cost is O(n + edges) plus a few numpy calls per level.
+    cost is O(n + edges): one sweep finds every level, and one stable sort
+    groups them.
     """
-    child_ptr, children = _children(bag)
-    pending = np.diff(bag.indptr)
-    level = np.flatnonzero(pending == 0)
-    levels: list[np.ndarray] = []
-    placed = 0
-    while level.size:
-        levels.append(level)
-        placed += level.size
-        reached = children[_segments(child_ptr, level)]
-        np.subtract.at(pending, reached, 1)
-        level = _distinct(reached[pending[reached] == 0])
-    return levels if placed == bag.n else None
+    depth = _depths(bag)
+    if depth is None:
+        return None
+    order = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0, *ends], ends)]

@@ -27,20 +27,25 @@ from .core import Bag, BagValidationError
 from .results import Trajectory
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# \d+(?:\.\d*)? rather than \d+\.?\d*: the two match the same literals, but
-# the second backtracks quadratically over a long digit run that fails
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# ASCII digits only: \d and float() also accept other scripts' digits.
+# [0-9]+(?:\.[0-9]*)? rather than [0-9]+\.?[0-9]*: the two match the same
+# literals, but the second backtracks quadratically over a long digit run
+# that fails.
+_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 # One match per statement, starting at its first non-blank character. An
 # argument fills groups 1-2 (name, weight), an attack groups 3-4 and a
 # support groups 5-6 (source, target). A malformed statement fills none; it
 # runs to the period that ends it, where a period followed by a digit is a
 # decimal point, so a statement with a weight in it gives one diagnostic.
+# It also ends before a line break when the next line starts with arg(,
+# att( or sup(, so a missing period does not swallow the next statement.
+# That lookahead stops at the next line break: the scan stays linear.
 _STATEMENT_RE = re.compile(
     rf"arg\s*\(\s*({_NAME})\s*,\s*({_NUMBER})\s*\)\s*\."
     rf"|att\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
     rf"|sup\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
-    r"|(?=\S)(?:[^.]|\.(?=\d))*\.?")
+    r"|(?=\S)(?:[^.\n]|\.(?=\d)|\n(?![ \t]*(?:arg|att|sup)\())*\.?")
 _COMMENT_RE = re.compile(r"#[^\n]*|//[^\n]*")
 
 

@@ -9,6 +9,7 @@ from bagsolve import (
     generate_star,
     max_indegree,
     parent_vector,
+    topological_levels,
     topological_order,
 )
 from conftest import bags
@@ -85,6 +86,77 @@ class TestTopologicalOrder:
         position = {node: k for k, node in enumerate(order)}
         for u, v in bag.attacks | bag.supports:
             assert position[u] < position[v]
+
+
+def mirrored(bag: Bag) -> Bag:
+    # the same graph with the indices reversed, so edges run from high to
+    # low index
+    last = bag.n - 1
+    return Bag(bag.names[::-1], bag.weights[::-1],
+               [(last - u, last - v) for u, v in bag.attacks],
+               [(last - u, last - v) for u, v in bag.supports])
+
+
+def longest_path_depths(bag: Bag) -> list[int]:
+    # brute force: 0 without parents, else one more than the deepest parent
+    parents = [[] for _ in range(bag.n)]
+    for u, v in bag.attacks | bag.supports:
+        parents[v].append(u)
+
+    def depth(v):
+        return max((depth(u) + 1 for u in parents[v]), default=0)
+    return [depth(v) for v in range(bag.n)]
+
+
+def has_cycle(bag: Bag) -> bool:
+    # brute force: some argument reaches itself (Warshall's closure)
+    reach = [[False] * bag.n for _ in range(bag.n)]
+    for u, v in bag.attacks | bag.supports:
+        reach[u][v] = True
+    for k in range(bag.n):
+        for i in range(bag.n):
+            if reach[i][k]:
+                for j in range(bag.n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return any(reach[i][i] for i in range(bag.n))
+
+
+class TestTopologicalLevels:
+    @given(bags(acyclic=True))
+    def test_levels_are_longest_path_depths(self, bag):
+        for graph in (bag, mirrored(bag)):
+            levels = topological_levels(graph)
+            depths = longest_path_depths(graph)
+            assert [[i for i in range(graph.n) if depths[i] == k]
+                    for k in range(max(depths) + 1)] == [
+                        level.tolist() for level in levels]
+            assert topological_order(graph) == [
+                i for level in levels for i in level.tolist()]
+
+    @given(bags())
+    def test_both_agree_with_a_cycle_check(self, bag):
+        cyclic = has_cycle(bag)
+        assert (topological_levels(bag) is None) == cyclic
+        assert (topological_order(bag) is None) == cyclic
+
+    def test_order_is_level_by_level(self):
+        # 2 has no parent, so it shares level 0 with 0 and precedes 1
+        bag = Bag(["a", "b", "c"], [0.5] * 3, attacks={(0, 1)})
+        assert topological_order(bag) == [0, 2, 1]
+        assert [level.tolist() for level in topological_levels(bag)] == [
+            [0, 2], [1]]
+
+    def test_empty_bag(self):
+        assert topological_levels(Bag([], [])) == []
+        assert topological_order(Bag([], [])) == []
+
+    def test_long_chain_has_one_argument_per_level(self):
+        n = 20_000
+        chain = Bag([f"a{i}" for i in range(n)], [0.5] * n,
+                    attacks=[(i, i + 1) for i in range(n - 1)])
+        levels = topological_levels(chain)
+        assert len(levels) == n
+        assert [level.tolist() for level in levels] == [[i] for i in range(n)]
 
 
 class TestMaxIndegree:

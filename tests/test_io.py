@@ -139,6 +139,9 @@ PINNED_DIAGNOSTICS = {
         (1, 13, "weight 2 of argument 'b' outside [0,1]"),
     ]),
     "capitalised": ("Arg(a,1).", [(1, 1, MALFORMED + "'Arg(a,1).'")]),
+    "non-ascii-digits": ("arg(a,\u0660.\u0665).", [
+        (1, 1, MALFORMED + "'arg(a,\u0660.\u0665).'"),
+    ]),
     "edge-before-junk": ("att(a,b). ?? arg(a,1).", [
         (1, 11, MALFORMED + "'?? arg(a,1).'"),
         (1, 1, "edge references undeclared argument 'a'"),
@@ -146,15 +149,25 @@ PINNED_DIAGNOSTICS = {
     ]),
 }
 
-# Recovery skips a malformed statement up to its closing period, and a
+# Recovery skips a malformed statement up to its closing period, or up to
+# a line break before a line that starts with arg(, att( or sup(, and a
 # period followed by a digit is a decimal point, not the end: each of these
-# inputs holds one malformed statement and gets one diagnostic.
+# inputs holds one malformed statement and gets one diagnostic for it.
 ONE_MALFORMED_STATEMENT = {
     "missing-period": ("arg(a,0.5)\n", [
         (1, 1, MALFORMED + "'arg(a,0.5)'"),
     ]),
     "missing-period-then-statement": ("arg(a,0.5)\narg(b,0.25).", [
         (1, 1, MALFORMED + "'arg(a,0.5)'"),
+    ]),
+    "missing-period-then-indented-statement": (
+        "arg(a,0.5)\n \targ(b,0.25).\natt(b,b).", [
+            (1, 1, MALFORMED + "'arg(a,0.5)'"),
+        ]),
+    # the next statement survives, so only the undeclared 'a' follows
+    "missing-period-then-edge": ("arg(a,0.5)\narg(b,0.25).\natt(a,b).", [
+        (1, 1, MALFORMED + "'arg(a,0.5)'"),
+        (3, 1, "edge references undeclared argument 'a'"),
     ]),
     "non-ascii-name": ("arg(x,0.1).\narg(\xe9,0.5).", [
         (2, 1, MALFORMED + "'arg(\xe9,0.5).'"),
@@ -249,6 +262,14 @@ class TestDiagnostics:
         started = time.perf_counter()
         assert diagnostics_of(text) == [
             (1, 1, MALFORMED + "'arg(a,111111111111111111'")]
+        assert time.perf_counter() - started < 2.0
+
+    def test_blank_lines_in_malformed_statement_fail_in_linear_time(self):
+        # each line break looks ahead for a statement on the next line only;
+        # a lookahead over all the blank lines below would take minutes
+        text = "arg(a," + "\n" * 100_000 + "0.5x)."
+        started = time.perf_counter()
+        assert diagnostics_of(text) == [(1, 1, MALFORMED + "'arg(a,'")]
         assert time.perf_counter() - started < 2.0
 
 
