@@ -36,7 +36,7 @@ from .semantics import (
     lipschitz_influence,
     qe,
     update,
-    update_rows,
+    update_levels,
     validate_spec,
 )
 from .results import Outcome, SolveResult, Trajectory
@@ -116,7 +116,7 @@ __all__ = [
     "topological_levels",
     "topological_order",
     "update",
-    "update_rows",
+    "update_levels",
     "validate_spec",
     "verify_fixed_point",
 ]

@@ -99,21 +99,13 @@ def _indegree_groups(degree: np.ndarray) -> list[tuple[np.ndarray, int]]:
 class IndegreeBlock(NamedTuple):
     """The arguments ``pos``, each with at most d >= 1 parents, and their
     edges as a (d, len(pos)) array ``code``: row k of column j codes the
-    k-th parent (CSR order) of ``pos[j]``. With k parent strengths on hand,
-    a code indexes a table of 2k + 1 entries: supporter p is coded p, an
-    attacker p is k + 1 + p, and k pads a column of fewer than d parents
+    k-th parent (CSR order) of ``pos[j]``. A code indexes a table of
+    2n + 1 entries built from the n strengths: supporter p is coded p, an
+    attacker p is n + 1 + p, and n pads a column of fewer than d parents
     (the kernel puts each fold's identity there)."""
 
     pos: np.ndarray
     code: np.ndarray
-
-
-class Blocks(NamedTuple):
-    """Indegree blocks and the ``parents`` whose strengths their codes
-    number 0..k-1 (``None``: all arguments, in index order)."""
-
-    parents: Optional[np.ndarray]
-    blocks: tuple[IndegreeBlock, ...]
 
 
 class Bag:
@@ -207,53 +199,25 @@ class Bag:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     @property
-    def blocks(self) -> Blocks:
+    def blocks(self) -> tuple[IndegreeBlock, ...]:
         """Indegree blocks of all arguments, built on first use and kept."""
         if self._blocks is None:
-            blocks = self.row_blocks()
-            for block in blocks.blocks:
-                for arr in block:
-                    arr.setflags(write=False)
-            self._blocks = blocks
-        return self._blocks
-
-    def row_blocks(self, rows: Optional[np.ndarray] = None) -> Blocks:
-        """Indegree blocks of the arguments ``rows`` (default: all), with
-        each block's ``pos`` indexing ``rows``. For a subset the codes
-        number the blocks' own slots, block after block, so the blocks cost
-        O(len(rows) + their parents) whatever the size of the graph."""
-        full = rows is None
-        rows = np.arange(self.n) if full else np.asarray(rows, dtype=np.intp)
-        starts = self.indptr[rows]
-        degree = self.indptr[rows + 1] - starts
-        groups = []
-        for pos, d in _indegree_groups(degree):
-            if pos.size == 1:
-                # numpy reduces a one-column block as a 1-D array, pairwise;
-                # a second copy of the column keeps the fold sequential
-                pos = np.repeat(pos, 2)
-            k_th = np.arange(d)[:, None]
-            slots = k_th + starts[pos]
-            live = k_th < degree[pos]
-            if not live.all():
+            starts = self.indptr[:-1]
+            degree = np.diff(self.indptr)
+            blocks = []
+            for pos, d in _indegree_groups(degree):
+                k_th = np.arange(d)[:, None]
+                slots = k_th + starts[pos]
+                live = k_th < degree[pos]
                 slots[~live] = 0
-            groups.append((pos, slots, live))
-        k = self.n if full else sum(slots.size for _, slots, _ in groups)
-        blocks, parents, offset = [], [], 0
-        for pos, slots, live in groups:
-            if full:
                 at = self.src[slots]
-            else:
-                parents.append(self.src[slots].ravel())
-                at = np.arange(offset, offset + slots.size).reshape(slots.shape)
-                offset += slots.size
-            code = np.where(self.sign[slots] < 0.0, at + (k + 1), at)
-            code[~live] = k
-            blocks.append(IndegreeBlock(pos, code))
-        if not full:
-            parents = (np.concatenate(parents) if parents
-                       else np.zeros(0, dtype=np.intp))
-        return Blocks(None if full else parents, tuple(blocks))
+                code = np.where(self.sign[slots] < 0.0, at + (self.n + 1), at)
+                code[~live] = self.n
+                for arr in (pos, code):
+                    arr.setflags(write=False)
+                blocks.append(IndegreeBlock(pos, code))
+            self._blocks = tuple(blocks)
+        return self._blocks
 
     def _relation(self, sign: float) -> frozenset[Edge]:
         mask = self.sign == sign

@@ -22,12 +22,11 @@ from .semantics import (
     LINEAR,
     PMAX,
     PRODUCT,
-    SUM,
     TOP,
     SemanticsSpec,
     lipschitz_aggregation,
     lipschitz_influence,
-    update_rows,
+    update_levels,
     validate_spec,
 )
 
@@ -39,11 +38,11 @@ class CyclicGraphError(ValueError):
 def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
     """Exact strengths for an acyclic BAG in one topological pass.
 
-    Each topological level is evaluated once, with one update kernel call,
-    after all of its parents are final, so the result is the exact limit of
-    the update iteration in O(n + edges). Raises CyclicGraphError when the
-    graph has a cycle; use iterate or one of the integrators in
-    ``continuous`` in that case.
+    Each topological level is evaluated once, after all of its parents are
+    final, by one sweep of the update kernel over the cached indegree
+    blocks, so the result is the exact limit of the update iteration.
+    Raises CyclicGraphError when the graph has a cycle; use iterate or one
+    of the integrators in ``continuous`` in that case.
     """
     validate_spec(bag, spec)
     levels = topological_levels(bag)
@@ -52,10 +51,7 @@ def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
             "graph contains a cycle; single-pass evaluation only works on "
             "acyclic graphs — use the iterative or continuous solvers"
         )
-    values = bag.weights.copy()
-    for rows in levels:
-        values[rows] = update_rows(bag, spec, values, rows)
-    return values
+    return update_levels(bag, spec, levels)
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,10 @@ def _indegree_rule(spec: SemanticsSpec, d: int) -> Optional[str]:
         return "constant-influence"
     if (spec.aggregation, spec.influence) == (TOP, EULER):
         return "top+euler"
-    limit = {
-        (PRODUCT, LINEAR): spec.kappa,
-        (PRODUCT, EULER): 4.0,
-        (PRODUCT, PMAX): spec.kappa / spec.p,
-        (SUM, PMAX): spec.kappa / spec.p,
-    }.get((spec.aggregation, spec.influence))
+    limit = {(PRODUCT, LINEAR): spec.kappa, (PRODUCT, EULER): 4.0}.get(
+        (spec.aggregation, spec.influence))
+    if spec.influence == PMAX and spec.aggregation != TOP:
+        limit = spec.kappa / spec.p  # p is only checked for pmax
     if limit is not None and d < limit:
         return f"indegree:{spec.aggregation}+{spec.influence}"
     return None

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Bag, Blocks
+from .core import Bag
 
 SUM = "sum"
 PRODUCT = "product"
@@ -167,6 +167,9 @@ def _linear_domain_error(a: float, kappa: float) -> ValueError:
 def _infl_linear(w: float, a: float, kappa: float) -> float:
     if abs(a) > kappa * (1.0 + 1e-9):
         raise _linear_domain_error(a, kappa)
+    if a == 0.0:
+        # w / kappa overflows for a subnormal kappa, and inf * 0 is NaN
+        return w
     a = min(max(a, -kappa), kappa)  # absorb float round-off at the boundary
     if a < 0.0:
         return w + (w / kappa) * a
@@ -211,41 +214,44 @@ def influence(spec: SemanticsSpec, w: float, a: float) -> float:
 # so they agree exactly; ``euler`` and ``pmax`` may differ by round-off,
 # since numpy's exp and power are not the C library's.
 
-def _aggregate_blocks(kind: str, m: int, blocks: Blocks,
-                      s: np.ndarray) -> np.ndarray:
-    # One axis-0 reduction per indegree block. Numpy reduces axis 0 of a
-    # C-contiguous (d, m) array one row at a time, so each argument folds
-    # its parents in CSR order, supporters then attackers, as the scalar
-    # fold does. The codes index tables built from the k parent strengths
-    # x: [x | 0 | -x] for the sum, which adds -x exactly as the scalar
-    # fold subtracts x; for product and top one table per side, whose
-    # other half and padding hold the fold's identity (1.0 - 0.0 = 1.0 and
-    # 0.0, which the scalar fold starts from).
-    x = s if blocks.parents is None else s[blocks.parents]
-    k = x.size
-    a = np.zeros(m)  # parentless arguments aggregate to 0
+def _tables(kind: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The supporter and attacker tables that the codes of ``Bag.blocks``
+    # index, for the strengths x: [x | 0 | -x] for the sum (one table serves
+    # both sides), which adds -x exactly as the scalar fold subtracts x; for
+    # product and top one table per side, whose other half and padding hold
+    # the fold's identity (1.0 - 0.0 = 1.0 and 0.0, which the scalar fold
+    # starts from).
+    sup = np.full(2 * x.size + 1, 1.0 if kind == PRODUCT else 0.0)
+    att = sup if kind == SUM else sup.copy()
+    _enter(kind, sup, att, slice(None), x)
+    return sup, att
+
+
+def _enter(kind: str, sup: np.ndarray, att: np.ndarray, rows,
+           x: np.ndarray) -> None:
+    # write the strengths x of the arguments ``rows`` into the tables
+    k = sup.size // 2
+    u = 1.0 - x if kind == PRODUCT else x
+    sup[:k][rows] = u
+    att[k + 1:][rows] = -u if kind == SUM else u
+
+
+def _fold(kind: str, sup: np.ndarray, att: np.ndarray,
+          code: np.ndarray) -> np.ndarray:
+    # The aggregate of every column of one block's codes. Numpy reduces
+    # axis 0 of a C-contiguous (d, m) array one row at a time, so each
+    # argument folds its parents in CSR order, supporters then attackers,
+    # as the scalar fold does; but it would sum a lone column as a 1-D
+    # array, pairwise, so that one is folded with a second copy of itself.
+    if code.shape[1] == 1:
+        return _fold(kind, sup, att, np.repeat(code, 2, axis=1))[:1]
     if kind == SUM:
-        table = np.empty(2 * k + 1)
-        table[:k] = x
-        table[k] = 0.0
-        np.negative(x, out=table[k + 1:])
-        for pos, code in blocks.blocks:
-            a[pos] = table[code].sum(axis=0)
-        return a
-    if kind == PRODUCT:
-        u = 1.0 - x
-        rest = np.ones(k + 1)
+        a = sup[code].sum(axis=0)
+    elif kind == PRODUCT:
+        a = att[code].prod(axis=0) - sup[code].prod(axis=0)
     else:
-        u = x
-        rest = np.zeros(k + 1)
-    sup = np.concatenate((u, rest))
-    att = np.concatenate((rest, u))
-    for pos, code in blocks.blocks:
-        if kind == PRODUCT:
-            a[pos] = att[code].prod(axis=0) - sup[code].prod(axis=0)
-        else:
-            a[pos] = (np.maximum.reduce(sup[code], axis=0, initial=0.0)
-                      - np.maximum.reduce(att[code], axis=0, initial=0.0))
+        a = (np.maximum.reduce(sup[code], axis=0, initial=0.0)
+             - np.maximum.reduce(att[code], axis=0, initial=0.0))
     return a
 
 
@@ -267,8 +273,9 @@ def _influence_rows(spec: SemanticsSpec, w: np.ndarray,
         if outside.size:
             raise _linear_domain_error(float(a[outside[0]]), kappa)
         a = np.clip(a, -kappa, kappa)
-        return np.where(a < 0.0, w + (w / kappa) * a,
-                        w + ((1.0 - w) / kappa) * a)
+        out = np.where(a < 0.0, w + (w / kappa) * a,
+                       w + ((1.0 - w) / kappa) * a)
+        return np.where(a == 0.0, w, out)  # as in _infl_linear
     if kind == EULER:
         e = np.exp(np.minimum(a, _EXP_MAX))
         out = 1.0 - (1.0 - w * w) / (1.0 + w * e)
@@ -284,22 +291,54 @@ def _influence_rows(spec: SemanticsSpec, w: np.ndarray,
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
     """One synchronous update: every argument recomputed from the old state."""
-    s = np.asarray(s, dtype=float)
-    a = _aggregate_blocks(spec.aggregation, bag.n, bag.blocks, s)
+    kind = spec.aggregation
+    tables = _tables(kind, np.asarray(s, dtype=float))
+    a = np.zeros(bag.n)  # parentless arguments aggregate to 0
+    for pos, code in bag.blocks:
+        a[pos] = _fold(kind, *tables, code)
+    del tables  # freed before the influence allocates its temporaries
     return _influence_rows(spec, bag.weights, a)
 
 
-def update_rows(bag: Bag, spec: SemanticsSpec, s: Sequence[float],
-                rows: Sequence[int]) -> np.ndarray:
-    """``update(bag, spec, s)[rows]``, reading only the edges into ``rows``.
+def update_levels(bag: Bag, spec: SemanticsSpec,
+                  levels: Sequence[Sequence[int]]) -> np.ndarray:
+    """The strengths after updating the disjoint argument sets ``levels``
+    in turn, starting from the weights; other arguments keep their weight.
 
-    Costs O(len(rows) + their parents), which lets a caller evaluate a graph
-    piece by piece, such as one topological level at a time.
+    Each level is recomputed at once from the strengths the levels before
+    it left, so over ``topological_levels`` this is the exact acyclic
+    evaluation. The columns of each block of ``bag.blocks`` are ordered by
+    level once; a level then costs a few numpy calls per block it has
+    arguments in, plus O(its arguments and their parents).
     """
-    s = np.asarray(s, dtype=float)
-    rows = np.asarray(rows, dtype=np.intp)
-    a = _aggregate_blocks(spec.aggregation, rows.size, bag.row_blocks(rows), s)
-    return _influence_rows(spec, bag.weights[rows], a)
+    kind = spec.aggregation
+    values = bag.weights.copy()
+    count = len(levels)
+    level = np.full(bag.n, count, dtype=np.min_scalar_type(count))
+    for j, rows in enumerate(levels):
+        level[rows] = j
+    plan = []  # per block: positions and codes by level, and level bounds
+    for pos, code in bag.blocks:
+        order = np.argsort(level[pos], kind="stable")
+        ends = np.searchsorted(level[pos][order], np.arange(count + 1))
+        # a C-contiguous copy, so that each level's slice folds row by row
+        plan.append((pos[order], np.ascontiguousarray(code[:, order]),
+                     ends.tolist()))
+    tables = _tables(kind, values)
+    for j in range(count):
+        rows, folds = [], []
+        for pos, code, ends in plan:
+            lo, hi = ends[j], ends[j + 1]
+            if lo < hi:
+                rows.append(pos[lo:hi])
+                folds.append(_fold(kind, *tables, code[:, lo:hi]))
+        if rows:
+            rows = np.concatenate(rows)
+            new = _influence_rows(spec, bag.weights[rows],
+                                  np.concatenate(folds))
+            values[rows] = new
+            _enter(kind, *tables, rows, new)
+    return values
 
 
 # ---------------------------------------------------------------------------

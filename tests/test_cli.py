@@ -86,6 +86,17 @@ class TestSolve:
         assert code == 1
         assert "custom" in capsys.readouterr().err
 
+    def test_linear_with_subnormal_kappa(self, tmp_path, capsys):
+        # w / kappa overflows for parentless arguments; they keep their weight
+        path = tmp_path / "e.bag"
+        path.write_text("arg(a,0.5). arg(b,0.25).\n")
+        code = cli.main(["solve", str(path), "--semantics", "dfq",
+                         "--kappa", "1e-320"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert strengths_from(out) == {"a": 0.5, "b": 0.25}
+        assert "nan" not in out
+
     def test_trajectory_export(self, family_file, tmp_path, capsys):
         target = tmp_path / "run.csv"
         code = cli.main(["solve", family_file, "--semantics", "dfq",
@@ -251,6 +262,17 @@ class TestCertify:
         assert code == 0
         assert "global-lambda: 0.000000" in out
         assert "guaranteed: yes" in out
+
+    def test_custom_sum_euler_with_p_zero(self, tmp_path, capsys):
+        # p only matters for pmax, so p = 0 is accepted and never divides
+        path = tmp_path / "g.bag"
+        path.write_text("arg(a,0.5). arg(b,0.5). att(a,b).\n")
+        code = cli.main(["certify", str(path), "--semantics", "custom",
+                         "--aggregation", "sum", "--influence", "euler",
+                         "--p", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == "rule: contraction"
 
 
 class TestGenerate:

@@ -22,10 +22,12 @@ from bagsolve import (
     max_indegree,
     parent_vector,
     solve_acyclic,
+    topological_levels,
     update,
-    update_rows,
+    update_levels,
 )
-from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag
+from bagsolve import core
+from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag, specs
 
 TOL = 1e-15
 PAIRS = [(agg, infl) for agg in AGG_KINDS for infl in INFL_KINDS]
@@ -99,53 +101,71 @@ class TestDifferential:
     def test_aggregations_fold_in_scalar_order(self, agg):
         # the linear influence uses only + - * / in the scalar order, so
         # with it any difference would come from the aggregation, which
-        # must add and multiply the parents in the scalar order; the rows
-        # kernel is also given the largest indegree alone, a block of one
-        # argument (the star-k1000 center has 2000 parents)
+        # must add and multiply the parents in the scalar order
         for name, bag in GRAPHS.items():
             spec = spec_for(agg, "linear", bag)
             s = np.random.default_rng(5).random(bag.n)
-            expected = scalar_update(bag, spec, s)
-            assert np.array_equal(update(bag, spec, s), expected), name
-            widest = int(np.argmax(np.diff(bag.indptr)))
-            for rows in (np.arange(bag.n), np.array([widest])):
-                assert np.array_equal(update_rows(bag, spec, s, rows),
-                                      expected[rows]), name
+            assert np.array_equal(update(bag, spec, s),
+                                  scalar_update(bag, spec, s)), name
+        # the center level of a star is one argument with 100 or 2000
+        # parents, a lone column in the level sweep
+        for k in (50, 1000):
+            bag = generate_star(k, 0.2, 0.7)
+            spec = spec_for(agg, "linear", bag)
+            assert np.array_equal(solve_acyclic(bag, spec),
+                                  scalar_update(bag, spec, bag.weights)), k
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_rows_kernel_matches_full_update(self, name):
+        # a sweep of one level updates just its arguments, from the weights
         bag = GRAPHS[name]
         rng = np.random.default_rng(3)
-        s = rng.random(bag.n)
         rows = np.sort(rng.choice(bag.n, size=bag.n // 3, replace=False))
+        rest = np.setdiff1d(np.arange(bag.n), rows)
         for agg, infl in PAIRS:
             spec = spec_for(agg, infl, bag)
-            assert np.array_equal(update_rows(bag, spec, s, rows),
-                                  update(bag, spec, s)[rows])
+            swept = update_levels(bag, spec, [rows])
+            assert np.array_equal(swept[rows],
+                                  update(bag, spec, bag.weights)[rows])
+            assert np.array_equal(swept[rest], bag.weights[rest])
+
+    @given(bag=bags(max_n=7, max_edges=20, acyclic=True), spec=specs())
+    def test_acyclic_solve_is_one_update_per_level(self, bag, spec):
+        # every level is final once the levels before it are, so as many
+        # synchronous updates from the weights reach the same state; seven
+        # arguments have at most the 6 parents that specs() keeps valid
+        s = bag.weights
+        for _ in topological_levels(bag):
+            s = update(bag, spec, s)
+        assert np.array_equal(solve_acyclic(bag, spec), s)
 
 
-def decode(blocks, k: int):
-    """(pos, parents, signs, padding) of each block, with parents numbered
-    0..k-1 as the codes number them."""
-    for pos, code in blocks.blocks:
-        attack = code > k
-        parents = np.where(attack, code - (k + 1), code)
-        yield pos, parents, np.where(attack, -1.0, 1.0), code == k
+def decode(bag: Bag):
+    """(pos, parents, signs, padding) of each block of ``bag``."""
+    n = bag.n
+    for pos, code in bag.blocks:
+        attack = code > n
+        parents = np.where(attack, code - (n + 1), code)
+        yield pos, parents, np.where(attack, -1.0, 1.0), code == n
 
 
 class TestIndegreeBlocks:
     def test_built_once_per_bag(self, monkeypatch):
-        calls = []
-        real = Bag.row_blocks
-        monkeypatch.setattr(Bag, "row_blocks",
-                            lambda bag, rows=None: calls.append(rows)
-                            or real(bag, rows))
-        bag = generate_family(3, 0.3, 0.8)
+        # every build groups the indegrees once; the level sweep of
+        # solve_acyclic reads the same cached blocks as update
+        builds = []
+        real = core._indegree_groups
+        monkeypatch.setattr(core, "_indegree_groups",
+                            lambda degree: builds.append(1) or real(degree))
+        family = generate_family(3, 0.3, 0.8)
+        star = generate_star(10, 0.9, 0.4)
         for agg in AGG_KINDS:
-            spec = spec_for(agg, "euler", bag)
-            for s in states(bag, seed=2):
-                update(bag, spec, s)
-        assert calls == [None]
+            solve_acyclic(star, spec_for(agg, "euler", star))
+            for bag in (family, star):
+                spec = spec_for(agg, "euler", bag)
+                for s in states(bag, seed=2):
+                    update(bag, spec, s)
+        assert len(builds) == 2
 
     def test_cache_takes_no_part_in_equality(self):
         filled = generate_family(3, 0.3, 0.8)
@@ -158,28 +178,20 @@ class TestIndegreeBlocks:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_blocks_hold_every_edge_once_in_csr_order(self, name):
         bag = GRAPHS[name]
-        rng = np.random.default_rng(4)
-        subset = np.sort(rng.choice(bag.n, size=bag.n // 2, replace=False))
-        for rows in (None, subset):
-            blocks = bag.row_blocks(rows)
-            rows = np.arange(bag.n) if rows is None else rows
-            number = (np.arange(bag.n) if blocks.parents is None
-                      else blocks.parents)
-            indegree = np.diff(bag.indptr)[rows]
-            seen = []
-            for pos, parents, sign, pad in decode(blocks, number.size):
-                d = parents.shape[0]
-                assert parents.shape == (d, pos.size) and parents.flags.c_contiguous
-                assert pos.size > 1 and np.all(np.diff(pos) >= 0)
-                for j, i in enumerate(rows[pos].tolist()):
-                    row = slice(bag.indptr[i], bag.indptr[i + 1])
-                    live = ~pad[:, j]
-                    # the padding, if any, ends the column
-                    assert live.tolist() == sorted(live.tolist(), reverse=True)
-                    assert number[parents[live, j]].tolist() == bag.src[row].tolist()
-                    assert sign[live, j].tolist() == bag.sign[row].tolist()
-                seen += sorted(set(pos.tolist()))
-            assert sorted(seen) == np.flatnonzero(indegree).tolist()
+        seen = []
+        for pos, parents, sign, pad in decode(bag):
+            d = parents.shape[0]
+            assert parents.shape == (d, pos.size) and parents.flags.c_contiguous
+            assert pos.size and np.all(np.diff(pos) > 0)
+            for j, i in enumerate(pos.tolist()):
+                row = slice(bag.indptr[i], bag.indptr[i + 1])
+                live = ~pad[:, j]
+                # the padding, if any, ends the column
+                assert live.tolist() == sorted(live.tolist(), reverse=True)
+                assert parents[live, j].tolist() == bag.src[row].tolist()
+                assert sign[live, j].tolist() == bag.sign[row].tolist()
+            seen += pos.tolist()
+        assert sorted(seen) == np.flatnonzero(np.diff(bag.indptr)).tolist()
 
     def test_many_distinct_indegrees_share_few_blocks(self):
         # indegrees 1..300, one argument each, parents and signs drawn at
@@ -192,16 +204,17 @@ class TestIndegreeBlocks:
             for j in rng.choice(n - 1, size=i, replace=False).tolist():
                 edges[rng.random() < 0.5].append((j + (j >= i), i))
         bag = Bag([f"a{i}" for i in range(n)], rng.random(n), *edges)
-        assert len(bag.blocks.blocks) <= 30
+        assert len(bag.blocks) <= 30
         s = rng.random(n)
+        # one level with arguments in several blocks
         rows = np.sort(rng.choice(n, size=100, replace=False))
-        assert len(bag.row_blocks(rows).blocks) > 1
+        assert sum(np.isin(pos, rows).any() for pos, _ in bag.blocks) > 1
         for agg in AGG_KINDS:
             spec = spec_for(agg, "linear", bag)
-            expected = scalar_update(bag, spec, s)
-            assert np.array_equal(update(bag, spec, s), expected)
-            assert np.array_equal(update_rows(bag, spec, s, rows),
-                                  expected[rows])
+            assert np.array_equal(update(bag, spec, s),
+                                  scalar_update(bag, spec, s))
+            assert np.array_equal(update_levels(bag, spec, [rows])[rows],
+                                  scalar_update(bag, spec, bag.weights)[rows])
 
 
 class TestEdgeCases:
@@ -234,8 +247,18 @@ class TestEdgeCases:
         bag = Bag([], [])
         spec = SemanticsSpec(agg, infl)
         assert update(bag, spec, []).shape == (0,)
-        assert update_rows(bag, spec, [], []).shape == (0,)
+        assert update_levels(bag, spec, []).shape == (0,)
         assert solve_acyclic(bag, spec).shape == (0,)
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    def test_linear_with_subnormal_kappa_keeps_parentless_weights(self, agg):
+        # w / kappa overflows to inf, and inf * 0 would be NaN
+        bag = Bag(["a", "b"], [0.5, 0.25])
+        spec = SemanticsSpec(agg, "linear", kappa=1e-320)
+        assert influence(spec, 0.25, 0.0) == 0.25
+        with np.errstate(all="ignore"):
+            assert update(bag, spec, bag.weights).tolist() == [0.5, 0.25]
+        assert solve_acyclic(bag, spec).tolist() == [0.5, 0.25]
 
     def test_euler_saturates_above_exp_range(self):
         bag = Bag(["s", "t", "u"], [1.0, 0.4, 0.0], supports={(0, 1), (0, 2)})
