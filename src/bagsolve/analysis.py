@@ -214,7 +214,8 @@ class OpenMindednessBound:
 def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
     """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength."""
     validate_spec(bag, spec)
-    radii = (codomain_bound(spec, np.diff(bag.indptr))
-             * lipschitz_influence(spec, bag.weights))
+    with np.errstate(invalid="ignore"):  # 0 * inf for a subnormal kappa
+        radii = (codomain_bound(spec, np.diff(bag.indptr))
+                 * lipschitz_influence(spec, bag.weights))
     return OpenMindednessBound(bag.weights - radii, bag.weights + radii)
 

@@ -53,13 +53,14 @@ def verify_fixed_point(bag: Bag, spec: SemanticsSpec,
     return float(np.abs(update(bag, spec, s) - s).max(initial=0.0)) <= tol
 
 
-def _check_run(dt: float, tolerance: float, budget: float) -> None:
+def _check_run(dt: float, tolerance: float, *budgets: float) -> None:
     if not 0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if budget != budget:  # only NaN differs from itself
-        raise ValueError(f"budget must be a number, got {budget}")
+    for budget in budgets:
+        if budget != budget:  # only NaN differs from itself
+            raise ValueError(f"budget must be a number, got {budget}")
 
 
 def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
@@ -217,12 +218,13 @@ def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
     reported as converged after one iteration, ``discrete`` is ``iterate``
     and ``euler``/``rk4`` are the integrators. ``auto`` runs ``acyclic`` and
     falls back to ``rk4`` on a cycle, so the graph is sorted only once.
-    ``delta``, ``tolerance`` and ``t_max`` are checked in every mode, used or
-    not, so that one set of flags is accepted or refused whatever the graph.
+    ``delta``, ``tolerance``, ``t_max`` and ``max_iterations`` are checked
+    in every mode, used or not, so that one set of flags is accepted or
+    refused whatever the graph.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _check_run(delta, tolerance, t_max)
+    _check_run(delta, tolerance, t_max, max_iterations)
     if mode in ("auto", "acyclic"):
         try:
             strengths = discrete.solve_acyclic(bag, spec)

@@ -12,7 +12,8 @@ the supporters come first, then the attackers, each in ascending source
 order, so every kernel visits parents in one fixed order.
 
 The update kernel reads the same edges regrouped as indegree blocks: sets
-of arguments with (nearly) the same indegree d, each with a C-contiguous
+of arguments whose indegrees have the same bit length (1, 2-3, 4-7, ...),
+each padded to the largest such indegree d and holding a C-contiguous
 (d, m) array of codes that lists, column by column, the arguments' parents
 in CSR order with their signs folded in (see ``IndegreeBlock``). A
 reduction over axis 0 then folds every argument's parents one at a time,
@@ -54,45 +55,17 @@ def _edge_codes(edges: Iterable[Edge], n: int, label: str) -> np.ndarray:
     return _distinct(pairs[:, 1] * n + pairs[:, 0])
 
 
-# Folding one more block costs a fixed number of numpy calls, about as much
-# as folding this many more edge slots (~2-6 us against ~3-5 ns a slot).
-BLOCK_SLOTS = 1024
-
-
 def _indegree_groups(degree: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    # (positions, indegree) of each block, positions ascending. Sorted by
-    # indegree, the positions fall into k runs of one indegree each; adjacent
-    # runs share a block, padded to its top indegree, where that costs fewer
-    # slots than the blocks it saves. A dynamic program over the run
-    # boundaries finds the cheapest partition in O(k^2), so a graph with
-    # many distinct indegrees still makes few blocks.
-    top = int(degree.max()) if degree.size else 0
-    if not top:
-        return []  # no parents: every aggregation is 0
-    have = np.flatnonzero(degree)
-    if top * have.size - int(degree.sum()) <= BLOCK_SLOTS:
-        # one block is cheapest, as on every level of a chain: no sort
-        return [(have, top)]
-    order = np.argsort(degree, kind="stable")
-    ordered = degree[order]
-    first = int(np.searchsorted(ordered, 1))  # the parentless need no block
-    order, ordered = order[first:], ordered[first:]
-    bound = np.flatnonzero(np.diff(ordered, prepend=-1, append=-1))
-    top = ordered[bound[1:] - 1]  # indegree of each run
-    # cost[j]: slots of the cheapest blocks for the first j runs, the last
-    # block holding runs cut[j] + 1 to j
-    cost = np.zeros(top.size + 1, dtype=np.int64)
-    cut = np.zeros(top.size + 1, dtype=np.intp)
-    for j in range(1, top.size + 1):
-        options = cost[:j] + top[j - 1] * (bound[j] - bound[:j])
-        cut[j] = np.argmin(options)
-        cost[j] = options[cut[j]] + BLOCK_SLOTS
+    # (positions, indegree) of each block, positions ascending: arguments
+    # whose indegrees have the same bit length share a block, padded to the
+    # largest of them. So there are at most max(degree).bit_length() blocks,
+    # and every column is more than half parents: fewer than 2 x edges slots.
+    length = np.frexp(degree)[1]  # bit length; 0 for the parentless
     groups = []
-    j = top.size
-    while j:
-        i = int(cut[j])
-        groups.append((np.sort(order[bound[i]:bound[j]]), int(top[j - 1])))
-        j = i
+    for b in range(1, int(length.max(initial=0)) + 1):
+        pos = np.flatnonzero(length == b)
+        if pos.size:
+            groups.append((pos, int(degree[pos].max())))
     return groups
 
 

@@ -273,8 +273,10 @@ def _influence_rows(spec: SemanticsSpec, w: np.ndarray,
         if outside.size:
             raise _linear_domain_error(float(a[outside[0]]), kappa)
         a = np.clip(a, -kappa, kappa)
-        out = np.where(a < 0.0, w + (w / kappa) * a,
-                       w + ((1.0 - w) / kappa) * a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # w / kappa overflows for a subnormal kappa, and inf * 0 is NaN
+            out = np.where(a < 0.0, w + (w / kappa) * a,
+                           w + ((1.0 - w) / kappa) * a)
         return np.where(a == 0.0, w, out)  # as in _infl_linear
     if kind == EULER:
         e = np.exp(np.minimum(a, _EXP_MAX))
@@ -283,7 +285,8 @@ def _influence_rows(spec: SemanticsSpec, w: np.ndarray,
         return np.where(a == 0.0, w, out)
     if kind == PMAX:
         # only one of the two _h terms of the scalar form is nonzero
-        x = a / spec.kappa
+        with np.errstate(over="ignore"):  # inf saturates h to 1
+            x = a / spec.kappa
         h = _h_rows(np.abs(x), spec.p)
         return np.where(x < 0.0, w - w * h, w + (1.0 - w) * h)
     return w.copy()  # constant
@@ -361,12 +364,13 @@ def lipschitz_influence(spec: SemanticsSpec,
                         w: float | np.ndarray) -> float | np.ndarray:
     """Lipschitz constant of the influence for weight parameter ``w``."""
     w = np.asarray(w, dtype=float)
-    if spec.influence == LINEAR:
-        return _same_shape(np.maximum(w, 1.0 - w) / spec.kappa)
+    with np.errstate(over="ignore"):  # inf for a subnormal kappa
+        if spec.influence == LINEAR:
+            return _same_shape(np.maximum(w, 1.0 - w) / spec.kappa)
+        if spec.influence == PMAX:
+            return _same_shape(spec.p * np.maximum(w, 1.0 - w) / spec.kappa)
     if spec.influence == EULER:
         return _same_shape(np.full_like(w, 0.25))
-    if spec.influence == PMAX:
-        return _same_shape(spec.p * np.maximum(w, 1.0 - w) / spec.kappa)
     return _same_shape(np.zeros_like(w))  # constant
 
 

@@ -1,9 +1,10 @@
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from bagsolve import cli, generate_family, parse_bag, serialize_bag
+from bagsolve import MODES, cli, generate_family, parse_bag, serialize_bag
 from bagsolve.analysis import fixture_duality_bag, generate_star
 
 
@@ -231,6 +232,68 @@ class TestBadInput:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "outcome: budget-exhausted" in proc.stdout
+
+
+class TestSubnormalKappa:
+    """A subnormal kappa makes w / kappa and a / kappa overflow to inf on
+    purpose; no numpy warning may reach stderr, and the output stays as it
+    was."""
+
+    @pytest.fixture
+    def pair_file(self, tmp_path):
+        path = tmp_path / "pair.bag"
+        path.write_text("arg(a,0.5). arg(b,0.25).\n")
+        return str(path)
+
+    @pytest.fixture
+    def parented_file(self, tmp_path):
+        path = tmp_path / "parented.bag"
+        path.write_text("arg(a,0.5). arg(b,0.25). arg(c,0.3).\n"
+                        "att(a,c). sup(b,c).\n")
+        return str(path)
+
+    def run(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning fails the command
+            code = cli.main([*argv, "--kappa", "1e-320"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_solve_dfq(self, pair_file, capsys, mode):
+        code, out = self.run(capsys, "solve", pair_file, "--semantics", "dfq",
+                             "--mode", mode)
+        assert code == 0
+        assert strengths_from(out) == {"a": 0.5, "b": 0.25}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_solve_qe(self, parented_file, capsys, mode):
+        # c's aggregate -0.25 over kappa is -inf, which pulls c to 0; the
+        # integrators stop within their tolerance of it
+        code, out = self.run(capsys, "solve", parented_file, "--semantics",
+                             "qe", "--mode", mode)
+        assert code == 0
+        c = 0.0001 if mode in ("euler", "rk4") else 0.0
+        assert strengths_from(out) == {"a": 0.5, "b": 0.25, "c": c}
+
+    def test_certify_qe(self, parented_file, capsys):
+        code, out = self.run(capsys, "certify", parented_file,
+                             "--semantics", "qe")
+        assert code == 0
+        assert out.splitlines()[-1] == "rule: none"
+
+    def test_check_open_mindedness_qe(self, parented_file, capsys):
+        _, out = self.run(capsys, "check", "open-mindedness", parented_file,
+                          "--semantics", "qe")
+        assert [line.split()[2] for line in out.splitlines()[1:4]] == [
+            "0.500000", "0.250000", "0.000000"]
+
+    def test_check_lipschitz_dfq(self, capsys):
+        code, out = self.run(capsys, "check", "lipschitz", "--semantics",
+                             "dfq", "--trials", "500")
+        assert code == 0
+        assert out.splitlines()[-1] == "lipschitz: pass"
 
 
 class TestCertify:

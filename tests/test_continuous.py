@@ -280,6 +280,18 @@ class TestSolve:
         _, result = solve(bag, qe(1.0), mode, record_trajectory=False)
         assert result.trajectory is None
 
+    @pytest.mark.parametrize("flags,message", [
+        (dict(delta=float("inf")), "step size must be positive"),
+        (dict(tolerance=0.0), "tolerance must be positive"),
+        (dict(t_max=float("nan")), "budget must be a number"),
+        (dict(max_iterations=float("nan")), "budget must be a number"),
+    ])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_flags_are_checked_in_every_mode(self, mode, flags, message):
+        # refused on an acyclic graph too, where auto runs none of them
+        with pytest.raises(ValueError, match=message):
+            solve(generate_star(3, 0.9, 0.9), qe(1.0), mode, **flags)
+
     def test_auto_tests_for_cycles_once(self, monkeypatch):
         # a cyclic graph costs one failed single pass, then the rk4 run
         calls = []

@@ -140,6 +140,34 @@ class TestDifferential:
         assert np.array_equal(solve_acyclic(bag, spec), s)
 
 
+def distinct_indegrees_bag(rng: np.random.Generator) -> Bag:
+    """Indegrees 1..300, one argument each, parents and signs drawn from
+    ``rng``, plus one parentless argument."""
+    n = 301
+    edges = ([], [])
+    for i in range(1, n):
+        for j in rng.choice(n - 1, size=i, replace=False).tolist():
+            edges[rng.random() < 0.5].append((j + (j >= i), i))
+    return Bag([f"a{i}" for i in range(n)], rng.random(n), *edges)
+
+
+def assert_bit_length_blocks(bag: Bag) -> None:
+    """Each block holds the arguments of one indegree bit length, padded to
+    the largest indegree among them; hence at most max_indegree.bit_length()
+    blocks, and fewer slots than twice the edges."""
+    degree = np.diff(bag.indptr)
+    lengths, slots = [], 0
+    for pos, code in bag.blocks:
+        classes = {int(d).bit_length() for d in degree[pos].tolist()}
+        assert len(classes) == 1
+        assert code.shape[0] == degree[pos].max()
+        lengths += classes
+        slots += code.size
+    assert len(set(lengths)) == len(lengths)
+    assert len(bag.blocks) <= max_indegree(bag).bit_length()
+    assert slots < 2 * bag.src.size or not bag.src.size
+
+
 def decode(bag: Bag):
     """(pos, parents, signs, padding) of each block of ``bag``."""
     n = bag.n
@@ -193,17 +221,25 @@ class TestIndegreeBlocks:
             seen += pos.tolist()
         assert sorted(seen) == np.flatnonzero(np.diff(bag.indptr)).tolist()
 
+    @given(bag=bags(max_n=12, max_edges=60))
+    def test_blocks_are_bit_length_classes(self, bag):
+        assert_bit_length_blocks(bag)
+
+    def test_bit_length_classes_of_fixed_graphs(self):
+        # indegrees 1 | 2, 3 | 4 make three blocks, one per bit length
+        small = Bag([f"a{i}" for i in range(5)], [0.5] * 5,
+                    attacks={(j, i) for i in range(5) for j in range(i)})
+        assert len(small.blocks) == 3
+        many = distinct_indegrees_bag(np.random.default_rng(6))
+        for bag in (small, many, *GRAPHS.values()):
+            assert_bit_length_blocks(bag)
+
     def test_many_distinct_indegrees_share_few_blocks(self):
-        # indegrees 1..300, one argument each, parents and signs drawn at
-        # random: one block per indegree would make 300 blocks; padding
-        # them together costs fewer slots
-        n = 301
+        # one block per indegree would make 300 blocks; the bit lengths of
+        # 1..300 make 9, padded to 1, 3, 7, ..., 255 and 300
         rng = np.random.default_rng(6)
-        edges = ([], [])
-        for i in range(1, n):
-            for j in rng.choice(n - 1, size=i, replace=False).tolist():
-                edges[rng.random() < 0.5].append((j + (j >= i), i))
-        bag = Bag([f"a{i}" for i in range(n)], rng.random(n), *edges)
+        bag = distinct_indegrees_bag(rng)
+        n = bag.n
         assert len(bag.blocks) <= 30
         s = rng.random(n)
         # one level with arguments in several blocks
