@@ -212,10 +212,12 @@ class OpenMindednessBound:
 
 
 def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
-    """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength."""
+    """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength
+    ([w_i, w_i] for a parentless argument)."""
     validate_spec(bag, spec)
-    with np.errstate(invalid="ignore"):  # 0 * inf for a subnormal kappa
-        radii = (codomain_bound(spec, np.diff(bag.indptr))
-                 * lipschitz_influence(spec, bag.weights))
+    degree = np.diff(bag.indptr)  # 0 * inf (a subnormal kappa) is NaN
+    radii = np.multiply(codomain_bound(spec, degree),
+                        lipschitz_influence(spec, bag.weights),
+                        out=np.zeros(bag.n), where=degree > 0)
     return OpenMindednessBound(bag.weights - radii, bag.weights + radii)
 

@@ -37,7 +37,7 @@ CYCLE_EPS = 1e-9
 # tolerance is tighter than CYCLE_EPS.
 CYCLE_MIN_AMPLITUDE = 1e-7
 
-# (state, update(state)) -> next state, before clipping into [0, 1]
+# (state, update(state)) -> next state, a new array, before clipping
 Step = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -63,6 +63,11 @@ def _check_run(dt: float, tolerance: float, *budgets: float) -> None:
             raise ValueError(f"budget must be a number, got {budget}")
 
 
+def _clamp(x: np.ndarray) -> np.ndarray:
+    # into [0, 1] in place, as np.clip does on non-NaN input
+    return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
+
+
 def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
            tolerance: float, budget: float, record_trajectory: bool,
            report_update: bool = False) -> SolveResult:
@@ -86,6 +91,7 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     trajectory = Trajectory() if record_trajectory else None
     state = bag.weights.copy()
     previous = two_back = None
+    move = 0.0  # max-norm of x_k - x_{k-1}: 0 exactly when they are equal
     steps = 0
 
     def finish(outcome: Outcome, evidence=None) -> SolveResult:
@@ -95,9 +101,8 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     if trajectory is not None:
         trajectory.append(0.0, state)
     while True:
-        if (two_back is not None
-                and np.abs(state - two_back).max(initial=0.0) <= CYCLE_EPS
-                and np.abs(state - previous).max(initial=0.0) > amplitude):
+        if (two_back is not None and move > amplitude
+                and np.abs(state - two_back).max(initial=0.0) <= CYCLE_EPS):
             return finish(Outcome.DIVERGED, (previous, state))
         if steps * dt >= budget:
             return finish(Outcome.BUDGET_EXHAUSTED)
@@ -105,8 +110,9 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
         converged = np.abs(updated - state).max(initial=0.0) <= tolerance
         if converged and not report_update:
             return finish(Outcome.CONVERGED)
-        stepped = np.clip(step(state, updated), 0.0, 1.0)
-        if not converged and np.array_equal(stepped, state):
+        stepped = _clamp(step(state, updated))
+        move = np.abs(stepped - state).max(initial=0.0)
+        if not converged and move == 0.0:
             return finish(Outcome.BUDGET_EXHAUSTED)
         two_back, previous, state = previous, state, stepped
         steps += 1
@@ -180,17 +186,13 @@ def integrate_rk4(
     """
     # The stages live in buffers made once per run. Stage states of a large
     # step can overshoot [0,1]; the derivative is evaluated on the clamped
-    # state so influences stay in their domain (maximum then minimum clamps
-    # as np.clip does on non-NaN input).
+    # state so influences stay in their domain.
     k1, k2, k3, x = (np.empty(bag.n) for _ in range(4))
 
     def slope(state: np.ndarray, k: np.ndarray, h: float,
               out: np.ndarray) -> np.ndarray:
         # out = rhs at clamp(state + h * k)
-        np.multiply(k, h, out=x)
-        np.add(state, x, out=x)
-        np.maximum(x, 0.0, out=x)
-        np.minimum(x, 1.0, out=x)
+        _clamp(np.add(state, np.multiply(k, h, out=x), out=x))
         return np.subtract(update(bag, spec, x), x, out=out)
 
     def step(state: np.ndarray, updated: np.ndarray) -> np.ndarray:

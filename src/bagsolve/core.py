@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +101,8 @@ class Bag:
     them.
     """
 
-    __slots__ = ("names", "weights", "indptr", "src", "sign", "_blocks")
+    __slots__ = ("names", "weights", "indptr", "src", "sign", "_blocks",
+                 "_memo")
 
     def __init__(
         self,
@@ -156,6 +157,7 @@ class Bag:
         self.src = src
         self.sign = sign
         self._blocks = None
+        self._memo = None
 
     @property
     def n(self) -> int:
@@ -191,6 +193,15 @@ class Bag:
                 blocks.append(IndegreeBlock(pos, code))
             self._blocks = tuple(blocks)
         return self._blocks
+
+    def memo(self, key: Any, build: Callable[["Bag", Any], Any]) -> Any:
+        """``build(self, key)``, kept until a call with another key: the
+        update kernel's constants for one semantics. One entry bounds the
+        memory of a sweep over many; it is replaced, never changed."""
+        entry = self._memo
+        if entry is None or (entry[0] is not key and entry[0] != key):
+            entry = self._memo = (key, build(self, key))
+        return entry[1]
 
     def _relation(self, sign: float) -> frozenset[Edge]:
         mask = self.sign == sign

@@ -111,9 +111,10 @@ def _indegree_rule(spec: SemanticsSpec, d: int) -> Optional[str]:
 def certify(bag: Bag, spec: SemanticsSpec) -> ConvergenceCertificate:
     """Compute the contraction certificate for (bag, spec)."""
     validate_spec(bag, spec)
-    with np.errstate(invalid="ignore"):  # 0 * inf for a subnormal kappa
-        lams = (lipschitz_aggregation(spec, np.diff(bag.indptr))
-                * lipschitz_influence(spec, bag.weights))
+    degree = np.diff(bag.indptr)  # 0 * inf (a subnormal kappa) is NaN
+    lams = np.multiply(lipschitz_aggregation(spec, degree),
+                       lipschitz_influence(spec, bag.weights),
+                       out=np.zeros(bag.n), where=degree > 0)
     global_lambda = float(lams.max(initial=0.0))
     guaranteed = global_lambda < 1.0
     rule = ((_indegree_rule(spec, max_indegree(bag)) or "contraction")

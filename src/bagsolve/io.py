@@ -184,6 +184,18 @@ def _format_time(t: float) -> str:
     return str(int(t)) if t == int(t) else repr(t)
 
 
+def _row_text(state: np.ndarray) -> str:
+    # ",".join(map(repr, values)); a row whose first 8 values repeat formats
+    # each distinct bit pattern once (so 0.0 and -0.0 keep their own text)
+    values = state.tolist()
+    head = values[:8]
+    if len(set(head)) == len(head):
+        return ",".join(map(repr, values))
+    bits = state.view(np.int64).tolist()
+    text = {b: repr(v) for b, v in dict(zip(bits, values)).items()}
+    return ",".join(map(text.__getitem__, bits))
+
+
 def write_trajectory_csv(
     trajectory: Trajectory,
     names: Sequence[str],
@@ -206,8 +218,8 @@ def write_trajectory_csv(
     def rows():
         yield "t," + ",".join(names) + "\n"
         for t, state in zip(trajectory.times, trajectory.states):
-            values = np.asarray(state, dtype=float).tolist()
-            yield _format_time(t) + "," + ",".join(map(repr, values)) + "\n"
+            row = _row_text(np.asarray(state, dtype=float))
+            yield _format_time(t) + "," + row + "\n"
 
     lines = rows()
     if isinstance(sink, (str, Path)):

@@ -208,99 +208,119 @@ def influence(spec: SemanticsSpec, w: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 # update map
 #
-# The vector kernels below compute, for all arguments at once, what
+# The vector kernel below computes, for all arguments at once, what
 # ``aggregate`` and ``influence`` above compute for one; those stay as the
 # scalar reference. The aggregations fold the parents in the scalar order,
 # so they agree exactly; ``euler`` and ``pmax`` may differ by round-off,
 # since numpy's exp and power are not the C library's.
 
-def _tables(kind: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _paired(pos: np.ndarray, code: np.ndarray):
+    # Numpy reduces axis 0 of a C-contiguous (d, m) array one row at a time,
+    # so each argument folds its parents in CSR order, supporters then
+    # attackers, as the scalar fold does; but it would sum a lone column as
+    # a 1-D array, pairwise, so that one is folded (and written) twice.
+    if code.shape[1] == 1:
+        return pos.repeat(2), code.repeat(2, axis=1)
+    return pos, code
+
+
+def _build_kernel(bag: Bag, spec: SemanticsSpec):
+    # What update needs of (bag, spec) but the strengths, all read-only:
+    # the blocks (see _paired), whether one holds every argument in order,
+    # the tables' identity entries and the influence's constants
+    blocks = tuple(_paired(pos, code) for pos, code in bag.blocks)
+    whole = len(blocks) == 1 and np.array_equal(blocks[0][0],
+                                                np.arange(bag.n))
+    pad = np.full(1 if spec.aggregation == SUM else bag.n + 1,
+                  1.0 if spec.aggregation == PRODUCT else 0.0)
+    w, consts = bag.weights, ()
+    if spec.influence == LINEAR:
+        with np.errstate(over="ignore"):  # inf for a subnormal kappa
+            consts = (w / spec.kappa, (1.0 - w) / spec.kappa)
+    elif spec.influence == EULER:
+        consts = (1.0 - w * w, np.where(w > 0.0, 1.0, 0.0))
+    elif spec.influence == PMAX:
+        consts = (-w, 1.0 - w)
+    for arr in (pad, *consts, *(x for block in blocks for x in block)):
+        arr.setflags(write=False)
+    return blocks, whole, pad, (w, *consts)
+
+
+def _tables(kind: str, x: np.ndarray,
+            pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The supporter and attacker tables that the codes of ``Bag.blocks``
     # index, for the strengths x: [x | 0 | -x] for the sum (one table serves
     # both sides), which adds -x exactly as the scalar fold subtracts x; for
     # product and top one table per side, whose other half and padding hold
     # the fold's identity (1.0 - 0.0 = 1.0 and 0.0, which the scalar fold
     # starts from).
-    sup = np.full(2 * x.size + 1, 1.0 if kind == PRODUCT else 0.0)
-    att = sup if kind == SUM else sup.copy()
-    _enter(kind, sup, att, slice(None), x)
-    return sup, att
-
-
-def _enter(kind: str, sup: np.ndarray, att: np.ndarray, rows,
-           x: np.ndarray) -> None:
-    # write the strengths x of the arguments ``rows`` into the tables
-    k = sup.size // 2
+    if kind == SUM:
+        sup = np.concatenate((x, pad, -x))
+        return sup, sup
     u = 1.0 - x if kind == PRODUCT else x
-    sup[:k][rows] = u
-    att[k + 1:][rows] = -u if kind == SUM else u
+    return np.concatenate((u, pad)), np.concatenate((pad, u))
 
 
 def _fold(kind: str, sup: np.ndarray, att: np.ndarray,
           code: np.ndarray) -> np.ndarray:
-    # The aggregate of every column of one block's codes. Numpy reduces
-    # axis 0 of a C-contiguous (d, m) array one row at a time, so each
-    # argument folds its parents in CSR order, supporters then attackers,
-    # as the scalar fold does; but it would sum a lone column as a 1-D
-    # array, pairwise, so that one is folded with a second copy of itself.
-    if code.shape[1] == 1:
-        return _fold(kind, sup, att, np.repeat(code, 2, axis=1))[:1]
+    # The aggregate of every column of one block's codes (see _paired);
+    # take gathers fast, into a C-contiguous array whatever the codes' layout
     if kind == SUM:
-        a = sup[code].sum(axis=0)
-    elif kind == PRODUCT:
-        a = att[code].prod(axis=0) - sup[code].prod(axis=0)
-    else:
-        a = (np.maximum.reduce(sup[code], axis=0, initial=0.0)
-             - np.maximum.reduce(att[code], axis=0, initial=0.0))
-    return a
+        return np.add.reduce(sup.take(code), axis=0)
+    if kind == PRODUCT:
+        return (np.multiply.reduce(att.take(code), axis=0)
+                - np.multiply.reduce(sup.take(code), axis=0))
+    return (np.maximum.reduce(sup.take(code), axis=0, initial=0.0)
+            - np.maximum.reduce(att.take(code), axis=0, initial=0.0))
 
 
-def _h_rows(x: np.ndarray, p: int) -> np.ndarray:
-    # _h for x >= 0 with one formula and no overflow: y = min(x, 1/x) <= 1,
-    # so y ** p stays finite, and h = y^p / (1 + y^p) below 1 and
-    # 1 / (1 + y^p) from 1 on
-    y = np.minimum(x, 1.0 / np.maximum(x, 1.0))
-    yp = y ** p
-    return np.where(x < 1.0, yp, 1.0) / (1.0 + yp)
-
-
-def _influence_rows(spec: SemanticsSpec, w: np.ndarray,
-                    a: np.ndarray) -> np.ndarray:
+def _influence(spec: SemanticsSpec, consts: tuple[np.ndarray, ...],
+               a: np.ndarray) -> np.ndarray:
+    # iota_w(a) for every argument from the kernel's constants: w, then
+    # w / kappa and (1 - w) / kappa for linear, 1 - w^2 and the saturation
+    # values for euler, -w and 1 - w for pmax
     kind = spec.influence
+    w = consts[0]
     if kind == LINEAR:
         kappa = spec.kappa
         outside = np.flatnonzero(np.abs(a) > kappa * (1.0 + 1e-9))
         if outside.size:
             raise _linear_domain_error(float(a[outside[0]]), kappa)
         a = np.clip(a, -kappa, kappa)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # w / kappa overflows for a subnormal kappa, and inf * 0 is NaN
-            out = np.where(a < 0.0, w + (w / kappa) * a,
-                           w + ((1.0 - w) / kappa) * a)
-        return np.where(a == 0.0, w, out)  # as in _infl_linear
-    if kind == EULER:
-        e = np.exp(np.minimum(a, _EXP_MAX))
-        out = 1.0 - (1.0 - w * w) / (1.0 + w * e)
-        out = np.where(a > _EXP_MAX, np.where(w > 0.0, 1.0, 0.0), out)
-        return np.where(a == 0.0, w, out)
-    if kind == PMAX:
-        # only one of the two _h terms of the scalar form is nonzero
+        with np.errstate(invalid="ignore"):  # inf * 0 for a subnormal kappa
+            out = w + np.where(a < 0.0, consts[1], consts[2]) * a
+    elif kind == EULER:
+        out = 1.0 - consts[1] / (1.0 + w * np.exp(np.minimum(a, _EXP_MAX)))
+        np.copyto(out, consts[2], where=a > _EXP_MAX)
+    elif kind == PMAX:
         with np.errstate(over="ignore"):  # inf saturates h to 1
             x = a / spec.kappa
-        h = _h_rows(np.abs(x), spec.p)
-        return np.where(x < 0.0, w - w * h, w + (1.0 - w) * h)
-    return w.copy()  # constant
+        # _h(|x|) without overflow: y = min(|x|, 1/|x|) <= 1, and h is
+        # y^p / (1 + y^p) below 1, 1 / (1 + y^p) from 1 on; only one _h term
+        # of the scalar form is nonzero, and w + (-w) * h is w - w * h
+        ax = np.abs(x)
+        yp = np.minimum(ax, 1.0 / np.maximum(ax, 1.0)) ** spec.p
+        h = np.where(ax < 1.0, yp, 1.0) / (1.0 + yp)
+        return w + np.where(x < 0.0, consts[1], consts[2]) * h
+    else:
+        return w.copy()  # constant
+    np.copyto(out, w, where=a == 0.0)  # as in _infl_linear and _infl_euler
+    return out
 
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
     """One synchronous update: every argument recomputed from the old state."""
     kind = spec.aggregation
-    tables = _tables(kind, np.asarray(s, dtype=float))
-    a = np.zeros(bag.n)  # parentless arguments aggregate to 0
-    for pos, code in bag.blocks:
-        a[pos] = _fold(kind, *tables, code)
+    blocks, whole, pad, consts = bag.memo(spec, _build_kernel)
+    tables = _tables(kind, np.asarray(s, dtype=float), pad)
+    if whole:
+        a = _fold(kind, *tables, blocks[0][1])
+    else:
+        a = np.zeros(bag.n)  # parentless arguments aggregate to 0
+        for pos, code in blocks:
+            a[pos] = _fold(kind, *tables, code)
     del tables  # freed before the influence allocates its temporaries
-    return _influence_rows(spec, bag.weights, a)
+    return _influence(spec, consts, a)
 
 
 def update_levels(bag: Bag, spec: SemanticsSpec,
@@ -315,6 +335,7 @@ def update_levels(bag: Bag, spec: SemanticsSpec,
     arguments in, plus O(its arguments and their parents).
     """
     kind = spec.aggregation
+    _, _, pad, consts = bag.memo(spec, _build_kernel)
     values = bag.weights.copy()
     count = len(levels)
     level = np.full(bag.n, count, dtype=np.min_scalar_type(count))
@@ -324,23 +345,26 @@ def update_levels(bag: Bag, spec: SemanticsSpec,
     for pos, code in bag.blocks:
         order = np.argsort(level[pos], kind="stable")
         ends = np.searchsorted(level[pos][order], np.arange(count + 1))
-        # a C-contiguous copy, so that each level's slice folds row by row
-        plan.append((pos[order], np.ascontiguousarray(code[:, order]),
-                     ends.tolist()))
-    tables = _tables(kind, values)
+        plan.append((pos[order], code[:, order], ends.tolist()))
+    sup, att = _tables(kind, values, pad)
+    n = bag.n
     for j in range(count):
         rows, folds = [], []
         for pos, code, ends in plan:
             lo, hi = ends[j], ends[j + 1]
             if lo < hi:
-                rows.append(pos[lo:hi])
-                folds.append(_fold(kind, *tables, code[:, lo:hi]))
+                at, codes = _paired(pos[lo:hi], code[:, lo:hi])
+                rows.append(at)
+                folds.append(_fold(kind, sup, att, codes))
         if rows:
             rows = np.concatenate(rows)
-            new = _influence_rows(spec, bag.weights[rows],
-                                  np.concatenate(folds))
+            new = _influence(spec, tuple(c[rows] for c in consts),
+                             np.concatenate(folds))
             values[rows] = new
-            _enter(kind, *tables, rows, new)
+            # enter the new strengths into the tables, as _tables does
+            u = 1.0 - new if kind == PRODUCT else new
+            sup[rows] = u
+            att[rows + (n + 1)] = -u if kind == SUM else u
     return values
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bagsolve import (
+    Bag,
     Outcome,
     SemanticsSpec,
     check_duality_aggregation,
@@ -173,6 +174,20 @@ class TestOpenMindedness:
         assert bound.upper[0] - bound.lower[0] == pytest.approx(0.5)
         # leaves have no parents: zero-width intervals
         assert bound.upper[1] == bound.lower[1] == bag.weights[1]
+
+    @pytest.mark.parametrize("spec", [qe(1e-320), dfq(1e-320)],
+                             ids=["qe", "dfq"])
+    def test_subnormal_kappa_leaves_parentless_bounds_at_the_weight(self,
+                                                                    spec):
+        # the influence constant is inf; 0 * inf must not make them NaN
+        bag = Bag(["a", "b", "c"], [0.5, 0.25, 0.3],
+                  attacks={(0, 2)}, supports={(1, 2)})
+        if spec.influence == "linear":
+            bag = Bag(["a", "b"], [0.5, 0.25])  # linear refuses parents here
+        bound = open_mindedness_bound(bag, spec)
+        assert bound.lower[:2].tolist() == bound.upper[:2].tolist() == [0.5, 0.25]
+        assert bound.lower[2:].tolist() == [-np.inf] * (bag.n - 2)
+        assert bound.upper[2:].tolist() == [np.inf] * (bag.n - 2)
 
     def test_constant_influence_pins_everything(self):
         bag = generate_family(2, 0.3, 0.7)

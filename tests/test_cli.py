@@ -1,6 +1,8 @@
+import hashlib
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,38 @@ class TestSolve:
         cli.main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestPinnedBytes:
+    """Stdout and trajectory CSV of two solves, pinned by sha256. The hashes
+    were recorded with the kernel and solver loop that rebuilt every
+    constant on each update (commit e26fc61); the cached kernel constants,
+    the leaner RK4 loop and the per-row CSV memo must not change a byte."""
+
+    FAMILY_K2 = (Path(__file__).resolve().parent.parent / "fixtures"
+                 / "family_k2.bag")
+    CASES = {
+        # auto mode: RK4 at delta 0.01 for 5.49 time units, converged
+        "euler": (["--semantics", "euler"], 0,
+                  "36332d8a95574736f5084aa757a07f299b28a55603e0276a8ffa38e5f1c604be",
+                  "3dc4b261f92148c8cb88a80327bab885f24eec549cfb073df420502795aa5497"),
+        # one RK4 step to the corners [1, 1, 0, 0], which the next step
+        # cannot leave: budget-exhausted at t = 2.5
+        "qe-rk4": (["--semantics", "qe", "--mode", "rk4", "--delta", "2.5"], 2,
+                   "d9e5ae708ed727a4269dae7eca65b1e0d23635408f84250f1ec05f24a4756b2a",
+                   "8e00920adfd8589f9c0c5e87b37f5c417da920fafbbc8b410d8daaa3610def06"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solve_output_is_unchanged(self, case, tmp_path, capsys):
+        flags, exit_code, stdout_sha, csv_sha = self.CASES[case]
+        csv = tmp_path / "trajectory.csv"
+        code = cli.main(["solve", str(self.FAMILY_K2), *flags,
+                         "--trajectory", str(csv)])
+        out = capsys.readouterr().out
+        assert code == exit_code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_sha
 
 
 class TestBadInput:
@@ -288,6 +322,28 @@ class TestSubnormalKappa:
                           "--semantics", "qe")
         assert [line.split()[2] for line in out.splitlines()[1:4]] == [
             "0.500000", "0.250000", "0.000000"]
+
+    def test_certify_gives_parentless_arguments_lambda_zero(
+            self, parented_file, capsys):
+        code, out = self.run(capsys, "certify", parented_file,
+                             "--semantics", "qe")
+        assert code == 0 and "nan" not in out
+        lines = out.splitlines()
+        assert [line.split() for line in lines[1:4]] == [
+            ["a", "0.000000"], ["b", "0.000000"], ["c", "inf"]]
+        assert "global-lambda: inf" in lines
+
+    def test_open_mindedness_bounds_parentless_arguments_by_the_weight(
+            self, parented_file, capsys):
+        code, out = self.run(capsys, "check", "open-mindedness",
+                             parented_file, "--semantics", "qe")
+        assert code == 0 and "nan" not in out
+        lines = out.splitlines()
+        assert [line.split() for line in lines[1:4]] == [
+            ["a", "0.500000", "0.500000", "0.500000"],
+            ["b", "0.250000", "0.250000", "0.250000"],
+            ["c", "-inf", "0.000000", "inf"]]
+        assert lines[-1] == "open-mindedness: pass"
 
     def test_check_lipschitz_dfq(self, capsys):
         code, out = self.run(capsys, "check", "lipschitz", "--semantics",

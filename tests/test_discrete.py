@@ -122,6 +122,17 @@ class TestCertify:
         assert cert.guaranteed
         assert cert.iterations_for(1e-6) == 14
 
+    def test_subnormal_kappa_gives_parentless_arguments_lambda_zero(self):
+        # the influence constant is inf; 0 * inf must not make them NaN
+        bag = Bag(["a", "b", "c"], [0.5, 0.25, 0.3],
+                  attacks={(0, 2)}, supports={(1, 2)})
+        cert = certify(bag, qe(1e-320))
+        assert cert.per_argument_lambda.tolist() == [0.0, 0.0, np.inf]
+        assert cert.global_lambda == np.inf and cert.rule == "none"
+        cert = certify(Bag(["a", "b"], [0.5, 0.25]), dfq(1e-320))
+        assert cert.per_argument_lambda.tolist() == [0.0, 0.0]
+        assert cert.guaranteed and cert.rule == "indegree:product+linear"
+
     def test_family_is_not_certified_at_kappa_one(self):
         cert = certify(FAMILY, qe(1.0))
         assert cert.global_lambda == pytest.approx(3.6)

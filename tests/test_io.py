@@ -1,6 +1,7 @@
 import io as stdio
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from bagsolve import (
     BagParseError,
     Trajectory,
     dfq,
+    euler_semantics,
     fixture_duality_bag,
     generate_family,
     integrate_rk4,
@@ -446,3 +448,86 @@ class TestTrajectoryCsv:
         target = tmp_path / "run.csv"
         write_trajectory_csv(traj, ["a"], target)
         assert target.read_text().startswith("t,a\n")
+
+
+def plain_csv(trajectory: Trajectory, names) -> str:
+    """The trajectory CSV with every value formatted by its own repr."""
+    lines = ["t," + ",".join(names)]
+    for t, state in zip(trajectory.times, trajectory.states):
+        time_text = str(int(t)) if t == int(t) else repr(t)
+        values = np.asarray(state, dtype=float).tolist()
+        lines.append(time_text + "," + ",".join(map(repr, values)))
+    return "\n".join(lines) + "\n"
+
+
+def csv_bytes_of_every_sink(trajectory: Trajectory, names, tmp_path) -> list:
+    text, binary = stdio.StringIO(), stdio.BytesIO()
+    target = tmp_path / "rows.csv"
+    for sink in (text, binary, target):
+        write_trajectory_csv(trajectory, names, sink)
+    return [text.getvalue().encode("utf-8"), binary.getvalue(),
+            target.read_bytes()]
+
+
+NAN_WITH_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.int64).view(float)[0]
+
+ROWS = {
+    "two-groups": [0.3] * 50 + [0.7] * 50,
+    "signed-zeros": [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, -0.0, 0.0],
+    "zeros-after-the-probe": [0.1 * k for k in range(8)] + [0.0, -0.0] * 4,
+    "nan": [float("nan"), 0.5, float("nan"), 0.5, -float("nan"),
+            NAN_WITH_PAYLOAD, float("inf"), -float("inf"), 5e-324],
+    "short": [0.25, 0.25],
+    "all-distinct": np.random.default_rng(2).random(10_000).tolist(),
+}
+
+
+class TestTrajectoryRows:
+    """Each distinct value of a row is formatted once; the text must stay
+    what formatting every value on its own gives."""
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_row_matches_plain_repr(self, name, tmp_path):
+        row = ROWS[name]
+        traj = Trajectory()
+        traj.append(0, row)
+        traj.append(0.5, row[::-1])
+        names = [f"x{i}" for i in range(len(row))]
+        expected = plain_csv(traj, names).encode("utf-8")
+        for got in csv_bytes_of_every_sink(traj, names, tmp_path):
+            assert got == expected
+
+    def test_signed_zeros_keep_their_sign(self):
+        traj = Trajectory()
+        traj.append(0, ROWS["signed-zeros"])
+        out = stdio.StringIO()
+        write_trajectory_csv(traj, list("abcdefgh"), out)
+        assert out.getvalue().splitlines()[1] == (
+            "0,0.0,-0.0,0.0,-0.0,0.5,0.5,-0.0,0.0")
+
+    def test_empty_states(self, tmp_path):
+        traj = Trajectory()
+        traj.append(0, [])
+        traj.append(1, [])
+        for got in csv_bytes_of_every_sink(traj, [], tmp_path):
+            assert got == b"t,\n0,\n1,\n"
+
+    @given(rows=st.lists(st.lists(st.sampled_from(
+        [0.0, -0.0, 0.5, 1.0, 1 / 3, float("nan"), float("inf"), 5e-324,
+         NAN_WITH_PAYLOAD]), min_size=12, max_size=12), min_size=1,
+        max_size=4))
+    def test_any_rows_match_plain_repr(self, rows):
+        traj = Trajectory()
+        for t, row in enumerate(rows):
+            traj.append(t, row)
+        names = [f"x{i}" for i in range(12)]
+        out = stdio.StringIO()
+        write_trajectory_csv(traj, names, out)
+        assert out.getvalue() == plain_csv(traj, names)
+
+    def test_family_trajectory_matches_plain_repr(self):
+        bag = generate_family(5, 0.9, 0.1)
+        traj = integrate_rk4(bag, euler_semantics()).trajectory
+        out = stdio.StringIO()
+        write_trajectory_csv(traj, bag.names, out)
+        assert out.getvalue() == plain_csv(traj, bag.names)

@@ -7,6 +7,9 @@ the same order on both paths, but numpy's ``exp`` and ``power`` may round
 differently from the C library's, so the two may differ by round-off,
 bounded here beforehand by 1e-15.
 """
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,17 +19,19 @@ from bagsolve import (
     SemanticsSpec,
     aggregate,
     codomain_bound,
+    dfq,
     generate_family,
     generate_star,
     influence,
     max_indegree,
     parent_vector,
+    qe,
     solve_acyclic,
     topological_levels,
     update,
     update_levels,
 )
-from bagsolve import core
+from bagsolve import core, semantics
 from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag, specs
 
 TOL = 1e-15
@@ -302,3 +307,222 @@ class TestEdgeCases:
         s = [800.0, 0.0, 0.0]
         assert update(bag, spec, s).tolist() == [1.0, 1.0, 0.0]
         assert scalar_update(bag, spec, s).tolist() == [1.0, 1.0, 0.0]
+
+
+def reference_influence(spec: SemanticsSpec, w: np.ndarray,
+                        a: np.ndarray) -> np.ndarray:
+    """The influence of every argument by the kernel's documented formulas,
+    written out in numpy from the weights on every call. For ``linear`` and
+    ``constant`` these are the scalar ``influence`` bit for bit; for
+    ``euler`` they are 1 - (1 - w^2) / (1 + w e^a), and for ``pmax`` the
+    overflow-free h(y) with y = min(|x|, 1/|x|), which is where numpy's
+    ``exp`` and ``power`` make them differ from the scalar ones."""
+    w = np.asarray(w, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if spec.influence in ("linear", "constant"):
+        return np.array([influence(spec, wi, ai)
+                         for wi, ai in zip(w.tolist(), a.tolist())])
+    if spec.influence == "euler":
+        out = 1.0 - (1.0 - w * w) / (1.0 + w * np.exp(np.minimum(a, 709.0)))
+        out = np.where(a > 709.0, np.where(w > 0.0, 1.0, 0.0), out)
+        return np.where(a == 0.0, w, out)
+    with np.errstate(over="ignore"):
+        x = a / spec.kappa
+    ax = np.abs(x)
+    yp = np.minimum(ax, 1.0 / np.maximum(ax, 1.0)) ** spec.p
+    h = np.where(ax < 1.0, yp, 1.0) / (1.0 + yp)
+    return np.where(x < 0.0, w - w * h, w + (1.0 - w) * h)
+
+
+def reference_update(bag: Bag, spec: SemanticsSpec, s,
+                     rows=None) -> np.ndarray:
+    """The new strengths of ``rows`` (default: every argument) from ``s``:
+    the scalar ``aggregate`` of each, then ``reference_influence``."""
+    s = np.asarray(s, dtype=float).tolist()
+    rows = range(bag.n) if rows is None else np.asarray(rows).tolist()
+    a = [aggregate(spec, parent_vector(bag, i), s) for i in rows]
+    return reference_influence(spec, bag.weights[list(rows)], a)
+
+
+def reference_levels(bag: Bag, spec: SemanticsSpec, levels) -> np.ndarray:
+    values = bag.weights.copy()
+    for rows in levels:
+        if len(rows):
+            values[rows] = reference_update(bag, spec, values, rows)
+    return values
+
+
+def assert_same_bits(x: np.ndarray, y: np.ndarray) -> None:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    assert x.shape == y.shape
+    assert x.tobytes() == y.tobytes(), np.flatnonzero(x.view(np.int64)
+                                                      != y.view(np.int64))
+
+
+def random_levels(bag: Bag, rng: np.random.Generator):
+    """The topological levels, or three random disjoint argument sets of a
+    cyclic graph."""
+    levels = topological_levels(bag)
+    if levels is not None:
+        return levels
+    cut = np.sort(rng.integers(0, bag.n + 1, size=2))
+    perm = rng.permutation(bag.n)
+    return [np.sort(part) for part in np.split(perm, cut)]
+
+
+def lone_column_bag() -> Bag:
+    """Five arguments with one parent each, d with five parents alone in
+    the 4-7 block (a lone column), and the parentless e."""
+    names = ["a", "b", "c", "d", "e", "f", "g"]
+    return Bag(names, [0.1, 0.3, 0.5, 0.7, 0.9, 0.2, 0.6],
+               attacks={(4, 0), (0, 1), (1, 3), (2, 3), (6, 3), (3, 5)},
+               supports={(5, 2), (4, 3), (5, 3), (3, 6)})
+
+
+BIT_GRAPHS = {
+    "lone-column": lone_column_bag(),
+    "parentless": Bag(["a", "b"], [0.5, 0.25]),
+    "one-block": generate_family(4, 0.9, 0.1),   # every argument, in order
+    "star": generate_star(9, 0.4, 0.8),          # a lone centre, 9 leaves
+    "zero-aggregate": Bag(["a", "b", "c"], [0.3, 0.3, 0.123456789],
+                          attacks={(0, 2)}, supports={(1, 2)}),
+    # star-k1000 is left out: the reference is quadratic in n
+    **{name: bag for name, bag in GRAPHS.items() if name != "star-k1000"},
+}
+
+
+def bit_specs(agg: str, infl: str, bag: Bag):
+    yield spec_for(agg, infl, bag)
+    if infl == "pmax":
+        yield from (SemanticsSpec(agg, infl, kappa=k, p=p)
+                    for k, p in ((10.0, 1), (10.0, 3), (1e-320, 2)))
+
+
+class TestBitIdentity:
+    """``update`` and ``update_levels`` against ``reference_update``, which
+    builds no blocks, tables or cached constants: equal bit for bit."""
+
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    @pytest.mark.parametrize("name", sorted(BIT_GRAPHS))
+    def test_fixed_graphs(self, name, agg, infl):
+        bag = BIT_GRAPHS[name]
+        rng = np.random.default_rng(len(name))
+        for spec in bit_specs(agg, infl, bag):
+            for s in states(bag, seed=len(name)):
+                assert_same_bits(update(bag, spec, s),
+                                 reference_update(bag, spec, s))
+            levels = random_levels(bag, rng)
+            assert_same_bits(update_levels(bag, spec, levels),
+                             reference_levels(bag, spec, levels))
+
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    @given(bag=bags(max_n=9, max_edges=40), data=st.data())
+    def test_random_bags(self, agg, infl, bag, data):
+        spec = spec_for(agg, infl, bag, p=data.draw(st.sampled_from([1, 2, 3])))
+        s = np.asarray(data.draw(st.lists(
+            st.floats(0, 1, allow_nan=False), min_size=bag.n, max_size=bag.n)))
+        assert_same_bits(update(bag, spec, s), reference_update(bag, spec, s))
+        levels = random_levels(bag, np.random.default_rng(data.draw(
+            st.integers(0, 2**32 - 1))))
+        assert_same_bits(update_levels(bag, spec, levels),
+                         reference_levels(bag, spec, levels))
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    def test_euler_beyond_the_exp_range(self, agg):
+        # strengths of 800 give aggregates above 709 (saturated), below
+        # -709 and exactly 0; at the weight 1e-300 the formula itself would
+        # stay below 1 at a = 709, so only the saturation gives 1
+        bag = Bag(["s", "t", "u", "v", "z"], [1.0, 0.4, 0.0, 0.7, 1e-300],
+                  attacks={(1, 3)},
+                  supports={(0, 1), (0, 2), (0, 3), (0, 4)})
+        spec = SemanticsSpec(agg, "euler")
+        for s in ([800.0, 0.0, 0.0, 0.0, 0.0], [800.0, 800.0, 0.0, 0.0, 0.0],
+                  [0.0, 800.0, 0.5, 0.5, 0.5], [709.5, 0.0, 0.0, 0.0, 0.0]):
+            assert_same_bits(update(bag, spec, s),
+                             reference_update(bag, spec, s))
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    @pytest.mark.parametrize("infl", ["linear", "pmax"])
+    def test_subnormal_kappa(self, agg, infl):
+        # linear: every aggregate is 0 (w / kappa is inf, and inf * 0 must
+        # not leak); pmax: a / kappa is +-inf, which saturates h to 1
+        bag = BIT_GRAPHS["zero-aggregate"]
+        spec = SemanticsSpec(agg, infl, kappa=1e-320)
+        states_ = [[0.7, 0.7, 0.5], [0.2, 0.2, 0.9]]
+        if infl == "pmax":
+            states_ += [[0.7, 0.2, 0.5], [0.2, 0.7, 0.5]]
+        for s in states_:
+            with np.errstate(all="raise"):
+                out = update(bag, spec, s)
+            assert_same_bits(out, reference_update(bag, spec, s))
+        assert_same_bits(update_levels(bag, spec, [[0, 1], [2]]),
+                         reference_levels(bag, spec, [[0, 1], [2]]))
+
+
+class TestKernelCache:
+    """The constants of one (Bag, spec) are built once and kept with the
+    Bag; they are read-only, and a Bag keeps the latest spec's only."""
+
+    def test_built_once_per_spec_in_a_row(self, monkeypatch):
+        builds = []
+        real = semantics._build_kernel
+        monkeypatch.setattr(semantics, "_build_kernel",
+                            lambda bag, spec: builds.append(spec)
+                            or real(bag, spec))
+        bag = generate_family(3, 0.3, 0.8)
+        first, second = qe(2.0), SemanticsSpec("sum", "euler")
+        for spec in (first, first, qe(2.0), second, second, first):
+            update(bag, spec, bag.weights)
+        assert builds == [first, second, first]
+
+    def test_constants_are_read_only(self):
+        bag = generate_star(5, 0.3, 0.6)
+        for infl in INFL_KINDS:
+            spec = SemanticsSpec("product", infl, kappa=6.0)
+            update(bag, spec, bag.weights)
+            blocks, _, pad, consts = bag.memo(spec, semantics._build_kernel)
+            for arr in (pad, *consts, *(x for b in blocks for x in b)):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("name", ["one-block", "lone-column", "random-1"])
+    def test_alternating_specs_match_a_fresh_bag(self, name):
+        # the cache is keyed on the whole spec: two specs that share the
+        # aggregation, or the influence, or all but kappa never mix
+        bag = BIT_GRAPHS[name]
+        pairs = [(qe(1.0), qe(4.0)),
+                 (SemanticsSpec("sum", "pmax", kappa=2.0, p=1),
+                  SemanticsSpec("sum", "pmax", kappa=2.0, p=3)),
+                 (SemanticsSpec("product", "euler"),
+                  SemanticsSpec("top", "euler")),
+                 (SemanticsSpec("sum", "linear", kappa=50.0),
+                  SemanticsSpec("sum", "constant"))]
+        s = np.random.default_rng(4).random(bag.n)
+        levels = random_levels(bag, np.random.default_rng(5))
+        for one, other in pairs:
+            for spec in (one, other, one, other):
+                fresh = Bag(bag.names, bag.weights, bag.attacks, bag.supports)
+                assert_same_bits(update(bag, spec, s), update(fresh, spec, s))
+                assert_same_bits(update_levels(bag, spec, levels),
+                                 update_levels(fresh, spec, levels))
+
+    def test_interleaved_calls_are_reentrant(self):
+        # more threads than cores share one Bag and swap its cached spec all
+        # the time, with thread switches forced often; every call must still
+        # see a whole kernel of its own spec
+        bag = generate_family(6, 0.9, 0.1)
+        specs_ = [qe(1.0), SemanticsSpec("product", "euler"), dfq(12.0),
+                  SemanticsSpec("top", "pmax", kappa=0.5, p=3)]
+        rng = np.random.default_rng(8)
+        work = [(specs_[i % 4], rng.random(bag.n)) for i in range(400)]
+        expected = [reference_update(bag, spec, s) for spec, s in work]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: update(bag, *job), work,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == len(work)
+        for out, ref in zip(got, expected):
+            assert_same_bits(out, ref)
