@@ -12,7 +12,6 @@ from .core import (
     Bag,
     BagValidationError,
     max_indegree,
-    parent_vector,
     topological_levels,
     topological_order,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "lipschitz_influence",
     "max_indegree",
     "open_mindedness_bound",
-    "parent_vector",
     "parse_bag",
     "qe",
     "rhs",

@@ -5,13 +5,15 @@ two-group family that drives discrete iteration into oscillation, attack
 stars for conservativeness studies, and the three-layer attack/support
 fixture whose mirrored argument pairs exercise duality.
 
-The checkers probe two semantic properties numerically: duality (attacks and
-supports move strengths by mirrored amounts) and open-mindedness bounds (how
-far a semantics can move a weight at all).
+The checkers probe semantic properties numerically: duality (attacks and
+supports move strengths by mirrored amounts), the Lipschitz constants of
+the aggregation and influence (sampled, like duality, through the solve
+kernel), and open-mindedness bounds (how far a weight can move at all).
 """
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +33,8 @@ from .semantics import (
 DEFAULT_TRIALS = 10_000
 DUALITY_TOL = 1e-12
 LIPSCHITZ_SLACK = 1e-12
+_CHUNK = 1024  # trials evaluated at once: bounds a check's memory
+_MAX_PARENTS = 8
 
 
 def generate_family(k: int, va: float, vb: float) -> Bag:
@@ -96,100 +100,99 @@ class CheckReport:
         return f"fail: {pretty}"
 
 
-def _sample(trials: int, seed: int,
-            trial: Callable[[random.Random], Optional[dict]]) -> CheckReport:
-    # Runs ``trial`` until it returns a counterexample. A check of zero
-    # samples would report a pass it never tested, so it is refused.
+def _sample(trials: int, seed: int, draw: Callable[[random.Random], dict],
+            evaluate: Callable[..., tuple[np.ndarray, dict]]) -> CheckReport:
+    # Draws the trials (dicts of inputs) from random.Random(seed) in order,
+    # and evaluates _CHUNK at a time: ``evaluate`` gives the failing ones,
+    # as ~(gap <= bound) so that a NaN fails, and the values to report.
+    # Zero trials would pass untested.
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    for t in range(trials):
-        counterexample = trial(rng)
-        if counterexample is not None:
-            return CheckReport(False, t + 1, counterexample)
+    for start in range(0, trials, _CHUNK):
+        batch = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
+        inputs = zip(*(trial.values() for trial in batch))
+        with np.errstate(invalid="ignore"):  # a NaN fails its trial
+            failed, values = evaluate(*map(_array, inputs))
+        hit = np.flatnonzero(failed)
+        if hit.size:
+            k = int(hit[0])
+            batch[k].update((key, float(x[k])) for key, x in values.items())
+            return CheckReport(False, start + k + 1, batch[k])
     return CheckReport(True, trials)
 
 
-def check_duality_aggregation(
-    spec: SemanticsSpec,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> CheckReport:
+def _array(column) -> np.ndarray:
+    # one input over the trials: floats, or lists padded with zeros to 8
+    if isinstance(column[0], list):
+        column = [x + [0] * (_MAX_PARENTS - len(x)) for x in column]
+    return np.array(column, dtype=float)
+
+
+def _aggregation_draw(*states: str):
+    # a parent vector v over {-1, 0, 1}, 1 to 8 long, and strengths for it
+    def draw(rng):
+        n = rng.randint(1, _MAX_PARENTS)
+        trial = {"v": [rng.choice((-1, 0, 1)) for _ in range(n)]}
+        trial.update((s, [rng.random() for _ in range(n)]) for s in states)
+        return trial
+    return draw
+
+
+def _influence_draw(spec: SemanticsSpec, *names: str):
+    # w and the aggregates ``names`` in the influence's domain, and within
+    # max/2, so that rng.uniform's 2 * span is finite
+    span = (min(spec.kappa, sys.float_info.max / 2)
+            if spec.influence == "linear" else 10.0)
+    return lambda rng: {"w": rng.random(), **{
+        name: rng.uniform(-span, span) for name in names}}
+
+
+def check_duality_aggregation(spec: SemanticsSpec, trials: int = DEFAULT_TRIALS,
+                              seed: int = 0) -> CheckReport:
     """Sample (v, s) and test that negating the parent vector flips the
     aggregate's sign exactly: alpha_v(s) = -alpha_{-v}(s)."""
-    def trial(rng):
-        n = rng.randint(1, 8)
-        v = [rng.choice((-1, 0, 1)) for _ in range(n)]
-        s = [rng.random() for _ in range(n)]
-        lhs = aggregate(spec, v, s)
-        rhs = -aggregate(spec, [-x for x in v], s)
-        if abs(lhs - rhs) > DUALITY_TOL:
-            return {"v": v, "s": s, "alpha_v": lhs, "-alpha_-v": rhs}
-    return _sample(trials, seed, trial)
+    def evaluate(v, s):
+        lhs, rhs = aggregate(spec, v, s), -aggregate(spec, -v, s)
+        return (~(np.abs(lhs - rhs) <= DUALITY_TOL),
+                {"alpha_v": lhs, "-alpha_-v": rhs})
+    return _sample(trials, seed, _aggregation_draw("s"), evaluate)
 
 
-def _influence_sample_domain(spec: SemanticsSpec) -> float:
-    # linear only accepts [-kappa, kappa]; the others take any real
-    return spec.kappa if spec.influence == "linear" else 10.0
-
-
-def check_duality_influence(
-    spec: SemanticsSpec,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> CheckReport:
+def check_duality_influence(spec: SemanticsSpec, trials: int = DEFAULT_TRIALS,
+                            seed: int = 0) -> CheckReport:
     """Sample (w, a) and test the complement identity
     1 - iota_{1-w}(a) = iota_w(-a)."""
-    span = _influence_sample_domain(spec)
-
-    def trial(rng):
-        w = rng.random()
-        a = rng.uniform(-span, span)
-        lhs = 1.0 - influence(spec, 1.0 - w, a)
-        rhs = influence(spec, w, -a)
-        if abs(lhs - rhs) > DUALITY_TOL:
-            return {"w": w, "a": a, "1-iota_(1-w)(a)": lhs, "iota_w(-a)": rhs}
-    return _sample(trials, seed, trial)
+    def evaluate(w, a):
+        lhs, rhs = 1.0 - influence(spec, 1.0 - w, a), influence(spec, w, -a)
+        return (~(np.abs(lhs - rhs) <= DUALITY_TOL),
+                {"1-iota_(1-w)(a)": lhs, "iota_w(-a)": rhs})
+    return _sample(trials, seed, _influence_draw(spec, "a"), evaluate)
 
 
-def check_lipschitz_aggregation(
-    spec: SemanticsSpec,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> CheckReport:
+def check_lipschitz_aggregation(spec: SemanticsSpec, trials: int = DEFAULT_TRIALS,
+                                seed: int = 0) -> CheckReport:
     """Empirically confirm the aggregation's analytic Lipschitz constant:
     |alpha_v(s1) - alpha_v(s2)| <= lambda_v * maxnorm(s1 - s2)."""
-    def trial(rng):
-        n = rng.randint(1, 8)
-        v = [rng.choice((-1, 0, 1)) for _ in range(n)]
-        s1 = [rng.random() for _ in range(n)]
-        s2 = [rng.random() for _ in range(n)]
-        gap = abs(aggregate(spec, v, s1) - aggregate(spec, v, s2))
-        bound = (lipschitz_aggregation(spec, sum(x != 0 for x in v))
-                 * max(abs(a - b) for a, b in zip(s1, s2)))
-        if gap > bound + LIPSCHITZ_SLACK:
-            return {"v": v, "s1": s1, "s2": s2, "gap": gap, "bound": bound}
-    return _sample(trials, seed, trial)
+    def evaluate(v, s1, s2):
+        gap = np.abs(aggregate(spec, v, s1) - aggregate(spec, v, s2))
+        bound = (lipschitz_aggregation(spec, np.count_nonzero(v, axis=1))
+                 * np.abs(s1 - s2).max(axis=1))
+        return ~(gap <= bound + LIPSCHITZ_SLACK), {"gap": gap, "bound": bound}
+    return _sample(trials, seed, _aggregation_draw("s1", "s2"), evaluate)
 
 
-def check_lipschitz_influence(
-    spec: SemanticsSpec,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> CheckReport:
+def check_lipschitz_influence(spec: SemanticsSpec, trials: int = DEFAULT_TRIALS,
+                              seed: int = 0) -> CheckReport:
     """Empirically confirm the influence's analytic Lipschitz constant:
     |iota_w(a1) - iota_w(a2)| <= lambda_w * |a1 - a2|."""
-    span = _influence_sample_domain(spec)
-
-    def trial(rng):
-        w = rng.random()
-        a1 = rng.uniform(-span, span)
-        a2 = rng.uniform(-span, span)
-        gap = abs(influence(spec, w, a1) - influence(spec, w, a2))
-        bound = lipschitz_influence(spec, w) * abs(a1 - a2)
-        if gap > bound + LIPSCHITZ_SLACK:
-            return {"w": w, "a1": a1, "a2": a2, "gap": gap, "bound": bound}
-    return _sample(trials, seed, trial)
+    def evaluate(w, a1, a2):
+        gap = np.abs(influence(spec, w, a1) - influence(spec, w, a2))
+        step = np.abs(a1 - a2)  # inf * 0 (a subnormal kappa) would be NaN
+        bound = np.multiply(lipschitz_influence(spec, w), step,
+                            out=np.zeros_like(step), where=step > 0)
+        return ~(gap <= bound + LIPSCHITZ_SLACK), {"gap": gap, "bound": bound}
+    return _sample(trials, seed, _influence_draw(spec, "a1", "a2"), evaluate)
 
 
 @dataclass(frozen=True)

@@ -252,19 +252,6 @@ class Bag:
                 f"supports={self.src.size - attacks})")
 
 
-def parent_vector(bag: Bag, i: int) -> np.ndarray:
-    """Signed parent row for argument ``i``: -1 attacker, +1 supporter, 0 else.
-
-    Raises IndexError when ``i`` is out of range.
-    """
-    if not 0 <= i < bag.n:
-        raise IndexError(f"argument index {i} out of range for n={bag.n}")
-    v = np.zeros(bag.n, dtype=int)
-    row = slice(bag.indptr[i], bag.indptr[i + 1])
-    v[bag.src[row]] = bag.sign[row]
-    return v
-
-
 def max_indegree(bag: Bag) -> int:
     """Largest number of parents (attackers plus supporters) of any argument."""
     return int(np.diff(bag.indptr).max(initial=0))

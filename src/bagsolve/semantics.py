@@ -13,7 +13,6 @@ parameter choices.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,9 +31,8 @@ PMAX = "pmax"
 CONSTANT = "constant"
 INFLUENCES = (LINEAR, EULER, PMAX, CONSTANT)
 
-# math.exp overflows past this; the euler influence saturates to its upper
-# limit there, so we short-circuit instead of raising OverflowError.
-_EXP_MAX = 709.0
+_EXP_MAX = 709.0  # exp overflows past this; euler saturates there
+_KAPPA_MIN = 2.0 ** -1024  # 1 / kappa overflows from here down
 
 
 class SemanticsConfigError(ValueError):
@@ -91,137 +89,39 @@ PRESETS = {"dfq": dfq, "euler": euler_semantics, "qe": qe}
 
 
 # ---------------------------------------------------------------------------
-# aggregation
-
-def _split_parents(v: Sequence[int]) -> tuple[list[int], list[int]]:
-    att = [j for j, x in enumerate(v) if x == -1]
-    sup = [j for j, x in enumerate(v) if x == 1]
-    return att, sup
-
-
-def _agg_sum(att, sup, s) -> float:
-    total = 0.0
-    for j in sup:
-        total += s[j]
-    for j in att:
-        total -= s[j]
-    return total
-
-
-def _agg_product(att, sup, s) -> float:
-    # Empty products are 1, so no parents gives 1 - 1 = 0.
-    pa = 1.0
-    for j in att:
-        pa *= 1.0 - s[j]
-    ps = 1.0
-    for j in sup:
-        ps *= 1.0 - s[j]
-    return pa - ps
-
-
-def _agg_top(att, sup, s) -> float:
-    best_sup = 0.0
-    for j in sup:
-        if s[j] > best_sup:
-            best_sup = s[j]
-    best_att = 0.0
-    for j in att:
-        if s[j] > best_att:
-            best_att = s[j]
-    return best_sup - best_att
-
-
-_AGG_FUNCS = {SUM: _agg_sum, PRODUCT: _agg_product, TOP: _agg_top}
-
-
-def aggregate(spec: SemanticsSpec, v: Sequence[int], s: Sequence[float]) -> float:
-    """Fold parent strengths into one signed real.
-
-    ``v`` is a parent vector over {-1, 0, +1}; only coordinates with nonzero
-    entries are read, and the result is 0 whenever ``v`` is all zero.
-    """
-    att, sup = _split_parents(v)
-    return _AGG_FUNCS[spec.aggregation](att, sup, s)
-
-
-# ---------------------------------------------------------------------------
-# influence
-
-def _h(x: float, p: int) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        # 1 / (1 + x^-p) is the same value but immune to overflow of x^p
-        return 1.0 / (1.0 + x ** (-p))
-    xp = x ** p
-    return xp / (1.0 + xp)
-
-
-def _linear_domain_error(a: float, kappa: float) -> ValueError:
-    return ValueError(
-        f"linear influence got aggregate {a!r} outside [-kappa, kappa] "
-        f"with kappa={kappa}; validate the semantics against the graph"
-    )
-
-
-def _infl_linear(w: float, a: float, kappa: float) -> float:
-    if abs(a) > kappa * (1.0 + 1e-9):
-        raise _linear_domain_error(a, kappa)
-    if a == 0.0:
-        # w / kappa overflows for a subnormal kappa, and inf * 0 is NaN
-        return w
-    a = min(max(a, -kappa), kappa)  # absorb float round-off at the boundary
-    if a < 0.0:
-        return w + (w / kappa) * a
-    return w + ((1.0 - w) / kappa) * a
-
-
-def _infl_euler(w: float, a: float) -> float:
-    if a == 0.0:
-        return w  # stability must hold bit-exactly, not just to round-off
-    if a > _EXP_MAX:
-        return 1.0 if w > 0.0 else 0.0
-    return 1.0 - (1.0 - w * w) / (1.0 + w * math.exp(a))
-
-
-def _infl_pmax(w: float, a: float, kappa: float, p: int) -> float:
-    return w - w * _h(-a / kappa, p) + (1.0 - w) * _h(a / kappa, p)
-
-
-def influence(spec: SemanticsSpec, w: float, a: float) -> float:
-    """Move the initial weight ``w`` according to the aggregate ``a``.
-
-    Returns a value in [0, 1]; an aggregate of 0 always returns ``w``
-    unchanged. The linear influence is only defined for |a| <= kappa and
-    raises otherwise (validate_spec rules that out for well-configured runs).
-    """
-    kind = spec.influence
-    if kind == LINEAR:
-        return _infl_linear(w, a, spec.kappa)
-    if kind == EULER:
-        return _infl_euler(w, a)
-    if kind == PMAX:
-        return _infl_pmax(w, a, spec.kappa, spec.p)
-    return w  # constant
-
-
-# ---------------------------------------------------------------------------
-# update map
+# update kernel
 #
-# The vector kernel below computes, for all arguments at once, what
-# ``aggregate`` and ``influence`` above compute for one; those stay as the
-# scalar reference. The aggregations fold the parents in the scalar order,
-# so they agree exactly; ``euler`` and ``pmax`` may differ by round-off,
-# since numpy's exp and power are not the C library's.
+# The aggregation (``_tables``/``_fold``) and the influence (``_influence``)
+# are written once: ``update`` and ``update_levels`` run them on a Bag's
+# cached blocks, ``aggregate`` and ``influence`` on parent vectors and
+# (w, a) pairs, which is what the property checks of ``analysis`` sample.
 
 def _paired(pos: np.ndarray, code: np.ndarray):
     # Numpy reduces axis 0 of a C-contiguous (d, m) array one row at a time,
-    # so each argument folds its parents in CSR order, supporters then
-    # attackers, as the scalar fold does; but it would sum a lone column as
-    # a 1-D array, pairwise, so that one is folded (and written) twice.
+    # so each column folds its parents in order, supporters then attackers,
+    # one at a time; but it would sum a lone column as a 1-D array,
+    # pairwise, so that one is folded (and written) twice.
     if code.shape[1] == 1:
         return pos.repeat(2), code.repeat(2, axis=1)
     return pos, code
+
+
+def _identity_pad(kind: str, n: int) -> np.ndarray:
+    # The entries of the tables besides the n strengths (see _tables)
+    return np.full(1 if kind == SUM else n + 1, 1.0 if kind == PRODUCT else 0.0)
+
+
+def _influence_constants(spec: SemanticsSpec,
+                         w: np.ndarray) -> tuple[np.ndarray, ...]:
+    # w, then what _influence reads besides it
+    if spec.influence == LINEAR:
+        with np.errstate(over="ignore"):  # inf for a subnormal kappa
+            return w, w / spec.kappa, (1.0 - w) / spec.kappa
+    if spec.influence == EULER:
+        return w, 1.0 - w * w, np.where(w > 0.0, 1.0, 0.0)
+    if spec.influence == PMAX:
+        return w, -w, 1.0 - w
+    return (w,)
 
 
 def _build_kernel(bag: Bag, spec: SemanticsSpec):
@@ -231,29 +131,20 @@ def _build_kernel(bag: Bag, spec: SemanticsSpec):
     blocks = tuple(_paired(pos, code) for pos, code in bag.blocks)
     whole = len(blocks) == 1 and np.array_equal(blocks[0][0],
                                                 np.arange(bag.n))
-    pad = np.full(1 if spec.aggregation == SUM else bag.n + 1,
-                  1.0 if spec.aggregation == PRODUCT else 0.0)
-    w, consts = bag.weights, ()
-    if spec.influence == LINEAR:
-        with np.errstate(over="ignore"):  # inf for a subnormal kappa
-            consts = (w / spec.kappa, (1.0 - w) / spec.kappa)
-    elif spec.influence == EULER:
-        consts = (1.0 - w * w, np.where(w > 0.0, 1.0, 0.0))
-    elif spec.influence == PMAX:
-        consts = (-w, 1.0 - w)
+    pad = _identity_pad(spec.aggregation, bag.n)
+    consts = _influence_constants(spec, bag.weights)
     for arr in (pad, *consts, *(x for block in blocks for x in block)):
         arr.setflags(write=False)
-    return blocks, whole, pad, (w, *consts)
+    return blocks, whole, pad, consts
 
 
 def _tables(kind: str, x: np.ndarray,
             pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The supporter and attacker tables that the codes of ``Bag.blocks``
     # index, for the strengths x: [x | 0 | -x] for the sum (one table serves
-    # both sides), which adds -x exactly as the scalar fold subtracts x; for
-    # product and top one table per side, whose other half and padding hold
-    # the fold's identity (1.0 - 0.0 = 1.0 and 0.0, which the scalar fold
-    # starts from).
+    # both sides; adding -x subtracts x exactly); for product and top one
+    # table per side, whose other half and padding hold the fold's identity
+    # (1.0 - 0.0 = 1.0 and 0.0).
     if kind == SUM:
         sup = np.concatenate((x, pad, -x))
         return sup, sup
@@ -276,36 +167,83 @@ def _fold(kind: str, sup: np.ndarray, att: np.ndarray,
 
 def _influence(spec: SemanticsSpec, consts: tuple[np.ndarray, ...],
                a: np.ndarray) -> np.ndarray:
-    # iota_w(a) for every argument from the kernel's constants: w, then
-    # w / kappa and (1 - w) / kappa for linear, 1 - w^2 and the saturation
-    # values for euler, -w and 1 - w for pmax
+    # iota_w(a) (see influence) for every argument from its constants
     kind = spec.influence
     w = consts[0]
     if kind == LINEAR:
         kappa = spec.kappa
         outside = np.flatnonzero(np.abs(a) > kappa * (1.0 + 1e-9))
         if outside.size:
-            raise _linear_domain_error(float(a[outside[0]]), kappa)
+            raise ValueError(
+                f"linear influence got aggregate {float(a[outside[0]])!r} "
+                f"outside [-kappa, kappa] with kappa={kappa}; validate the "
+                f"semantics against the graph")
         a = np.clip(a, -kappa, kappa)
-        with np.errstate(invalid="ignore"):  # inf * 0 for a subnormal kappa
-            out = w + np.where(a < 0.0, consts[1], consts[2]) * a
+        if kappa <= _KAPPA_MIN:  # w / kappa overflows; |a / kappa| <= 1
+            out = w + np.where(a < 0.0, w, 1.0 - w) * (a / kappa)
+        else:
+            with np.errstate(invalid="ignore"):  # 0 * inf at kappa = inf
+                out = w + np.where(a < 0.0, consts[1], consts[2]) * a
     elif kind == EULER:
         out = 1.0 - consts[1] / (1.0 + w * np.exp(np.minimum(a, _EXP_MAX)))
         np.copyto(out, consts[2], where=a > _EXP_MAX)
     elif kind == PMAX:
         with np.errstate(over="ignore"):  # inf saturates h to 1
             x = a / spec.kappa
-        # _h(|x|) without overflow: y = min(|x|, 1/|x|) <= 1, and h is
-        # y^p / (1 + y^p) below 1, 1 / (1 + y^p) from 1 on; only one _h term
-        # of the scalar form is nonzero, and w + (-w) * h is w - w * h
+        # h(|x|) without overflow: y = min(|x|, 1/|x|) <= 1, and h is
+        # y^p / (1 + y^p) below 1, 1 / (1 + y^p) from 1 on; only one h term
+        # of the pmax form is nonzero, and w + (-w) * h is w - w * h
         ax = np.abs(x)
         yp = np.minimum(ax, 1.0 / np.maximum(ax, 1.0)) ** spec.p
         h = np.where(ax < 1.0, yp, 1.0) / (1.0 + yp)
         return w + np.where(x < 0.0, consts[1], consts[2]) * h
     else:
         return w.copy()  # constant
-    np.copyto(out, w, where=a == 0.0)  # as in _infl_linear and _infl_euler
+    np.copyto(out, w, where=a == 0.0)
     return out
+
+
+def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
+    """Fold parent strengths into one signed real.
+
+    ``v`` is a parent vector over {-1, 0, +1} and ``s`` the strengths, of
+    the same length; only coordinates with nonzero entries are read, and
+    the result is 0 whenever ``v`` is all zero. Given (m, n) arrays, one
+    parent vector and one state per row, it returns the m aggregates. Each
+    row is folded as ``update`` folds a column of ``Bag.blocks``: its
+    supporters, then its attackers, each by index, then the padding.
+    """
+    rows = np.atleast_2d(v)
+    x = np.asarray(s, dtype=float).reshape(rows.size)
+    size, kind = x.size, spec.aggregation
+    # codes into the tables of x; the padding sorts last as 2 size + 1
+    at = np.arange(size).reshape(rows.shape)
+    code = np.where(rows == 1, at,
+                    np.where(rows == -1, at + (size + 1), 2 * size + 1))
+    code.sort(axis=1)
+    pos, code = _paired(np.arange(len(rows)),
+                        np.where(code.T > 2 * size, size, code.T))
+    a = np.empty(len(rows))
+    a[pos] = _fold(kind, *_tables(kind, x, _identity_pad(kind, size)), code)
+    return float(a[0]) if np.ndim(v) == 1 else a
+
+
+def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
+    """Move the initial weight ``w`` according to the aggregate ``a``.
+
+    linear: w + w a / kappa for a < 0, else w + (1 - w) a / kappa; euler:
+    1 - (1 - w^2) / (1 + w e^a); pmax: w - w h(-a / kappa) +
+    (1 - w) h(a / kappa), with h(x) = x^p / (1 + x^p) for x > 0, else 0;
+    constant: w. Takes scalars or arrays, elementwise, and returns the same
+    shape, in [0, 1], bit for bit what ``update`` computes for an argument
+    of weight ``w`` and aggregate ``a``. An aggregate of 0 always returns
+    ``w`` unchanged. The linear influence is only defined for |a| <= kappa
+    and raises otherwise (validate_spec rules that out for well-configured
+    runs).
+    """
+    w, a = np.broadcast_arrays(np.asarray(w, float), np.asarray(a, float))
+    out = _influence(spec, _influence_constants(spec, w.ravel()), a.ravel())
+    return _same_shape(out.reshape(w.shape))
 
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:

@@ -1,6 +1,10 @@
+import random
+import time
+
 import numpy as np
 import pytest
 
+import reference
 from bagsolve import (
     Bag,
     Outcome,
@@ -17,11 +21,12 @@ from bagsolve import (
     influence,
     max_indegree,
     open_mindedness_bound,
-    parent_vector,
     qe,
     solve,
     solve_acyclic,
 )
+from bagsolve import analysis
+from reference import parent_vector
 
 
 class TestGenerateFamily:
@@ -149,6 +154,99 @@ class TestDualityChecks:
         rhs = influence(euler_semantics(), 0.5, -0.8)
         assert lhs == pytest.approx(0.355, abs=5e-3)
         assert rhs == pytest.approx(0.388, abs=5e-3)
+
+
+CHECKS = {("duality", "aggregation"): check_duality_aggregation,
+          ("duality", "influence"): check_duality_influence,
+          ("lipschitz", "aggregation"): check_lipschitz_aggregation,
+          ("lipschitz", "influence"): check_lipschitz_influence}
+
+
+class TestBatchedChecks:
+    """The checks evaluate their draws in chunks through the kernel's
+    ``aggregate`` and ``influence``; the verdict, the trial count and the
+    counterexample are those of the scalar replay in ``reference.check``."""
+
+    @pytest.mark.parametrize("spec", [
+        dfq(1.0), qe(1.0), euler_semantics(), qe(10.0), dfq(5.0),
+        SemanticsSpec("sum", "pmax", kappa=3.0, p=3),
+        SemanticsSpec("sum", "linear", kappa=2.0),
+        SemanticsSpec("top", "linear", kappa=1e300),
+        SemanticsSpec("product", "euler"),
+        SemanticsSpec("top", "pmax", kappa=0.5, p=1),
+        SemanticsSpec("sum", "constant"),
+    ], ids=repr)
+    @pytest.mark.parametrize("trials", [1, 2, analysis._CHUNK + 3])
+    def test_matches_the_scalar_replay(self, spec, trials):
+        # trials=1 folds one lone column; the last count crosses a chunk
+        for (prop, part), check in CHECKS.items():
+            for seed in range(3):
+                report = check(spec, trials, seed)
+                passed, count, example = reference.check(prop, part, spec,
+                                                         trials, seed)
+                assert (report.passed, report.trials) == (passed, count)
+                assert report.counterexample == example, (prop, part, seed)
+
+    def test_counterexample_holds_plain_python_values(self):
+        report = check_duality_influence(euler_semantics(), trials=100)
+        assert [type(x) for x in report.counterexample.values()] == [float] * 4
+        report = check_lipschitz_aggregation(SemanticsSpec("sum", "constant"),
+                                             trials=1)
+        assert report.passed and type(report.trials) is int
+
+    def test_first_failure_ends_the_check_whatever_the_budget(self):
+        # a chunk is drawn and evaluated at a time, never the whole budget
+        start = time.perf_counter()
+        report = check_duality_influence(euler_semantics(), trials=10**12)
+        assert time.perf_counter() - start < 10.0
+        assert not report.passed and report.trials == 1
+
+    def test_counterexample_lists_keep_their_length(self, monkeypatch):
+        # the parent vectors are padded to 8 for the kernel, not in the report
+        monkeypatch.setattr(analysis, "aggregate",
+                            lambda spec, v, s: np.full(len(v), np.nan))
+        for seed in range(5):
+            ce = check_lipschitz_aggregation(qe(1.0), 5, seed).counterexample
+            n = len(ce["v"])
+            assert len(ce["s1"]) == len(ce["s2"]) == n and 1 <= n <= 8
+            assert all(type(x) is int for x in ce["v"])
+            assert all(type(x) is float for x in ce["s1"] + ce["s2"])
+
+
+class TestNaNFails:
+    """A NaN on either side of a check fails its trial; it never passes."""
+
+    @pytest.mark.parametrize("prop,part", sorted(CHECKS))
+    def test_nan_is_reported(self, monkeypatch, prop, part):
+        name = {"aggregation": "aggregate", "influence": "influence"}[part]
+        monkeypatch.setattr(analysis, name, lambda spec, x, y: np.full(
+            np.shape(y)[:1], np.nan))
+        report = CHECKS[prop, part](qe(1.0), trials=50)
+        assert not report.passed and report.trials == 1
+        assert any(np.isnan(x) for x in report.counterexample.values()
+                   if isinstance(x, float))
+
+    @pytest.mark.parametrize("kappa", [np.inf, 1e308, 2.0 ** 1023])
+    def test_huge_kappa_samples_finite_aggregates(self, monkeypatch, kappa):
+        # 2 kappa overflows, so rng.uniform(-kappa, kappa) would draw NaN
+        # (kappa = inf) or +-inf; the draws stay within max/2
+        seen = []
+        real = analysis.influence
+        monkeypatch.setattr(analysis, "influence", lambda spec, w, a: (
+            seen.append(np.asarray(a)) or real(spec, w, a)))
+        for check in (check_duality_influence, check_lipschitz_influence):
+            assert check(dfq(kappa), trials=3000).passed
+        a = np.concatenate([np.ravel(x) for x in seen])
+        assert np.isfinite(a).all() and np.abs(a).max() > 1e306
+
+    def test_draws_for_finite_two_kappa_are_unchanged(self):
+        kappa = float(np.finfo(float).max / 2)  # largest with 2 kappa finite
+        draw = analysis._influence_draw(dfq(kappa), "a1", "a2")
+        ours, plain = random.Random(4), random.Random(4)
+        for _ in range(100):
+            assert list(draw(ours).values()) == [
+                plain.random(), plain.uniform(-kappa, kappa),
+                plain.uniform(-kappa, kappa)]
 
 
 class TestDualArgumentPairs:

@@ -440,6 +440,43 @@ class TestCheck:
         assert code == 0
         assert "lipschitz: pass" in capsys.readouterr().out
 
+    # stdout of ``check <prop> --semantics <preset>`` at the default 10^4
+    # trials and seed 0, as the scalar checks printed it (commit 1732920);
+    # None stands for the three pass lines
+    PINNED = {
+        ("duality", "dfq"): None,
+        ("duality", "qe"): None,
+        ("duality", "euler"): (
+            "aggregation-duality: pass (10000 trials)\n"
+            "influence-duality: fail: w=0.8444218515250481, "
+            "a=5.159088058806049, 1-iota_(1-w)(a)=0.03476109123393911, "
+            "iota_w(-a)=0.7144340691525424\n"
+            "duality: fail\n"),
+        ("lipschitz", "dfq"): None,
+        ("lipschitz", "qe"): None,
+        ("lipschitz", "euler"): None,
+    }
+
+    @pytest.mark.parametrize("prop,preset", sorted(PINNED))
+    def test_property_check_stdout_is_pinned(self, capsys, prop, preset):
+        expected = self.PINNED[prop, preset] or "".join(
+            f"{part}-{prop}: pass (10000 trials)\n"
+            for part in ("aggregation", "influence")) + f"{prop}: pass\n"
+        code = cli.main(["check", prop, "--semantics", preset])
+        assert capsys.readouterr().out == expected
+        assert code == (2 if expected.endswith("fail\n") else 0)
+
+    @pytest.mark.parametrize("prop", ["duality", "lipschitz"])
+    def test_linear_checks_at_huge_kappa(self, capsys, prop):
+        # 2 kappa overflows, so rng.uniform(-kappa, kappa) drew +-inf, which
+        # the linear influence refused as outside its domain (exit 1)
+        code = cli.main(["check", prop, "--semantics", "custom",
+                         "--aggregation", "sum", "--influence", "linear",
+                         "--kappa", "1e308", "--trials", "2000"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.splitlines()[-1] == f"{prop}: pass"
+
     def test_open_mindedness_star(self, star_file, capsys):
         code = cli.main(["check", "open-mindedness", star_file,
                          "--semantics", "euler"])

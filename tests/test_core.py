@@ -8,11 +8,11 @@ from bagsolve import (
     generate_family,
     generate_star,
     max_indegree,
-    parent_vector,
     topological_levels,
     topological_order,
 )
 from conftest import bags
+from reference import parent_vector
 
 
 def three_node_cycle_bag() -> Bag:

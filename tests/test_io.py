@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bags
+from reference import parent_vector
 
 from bagsolve import (
     Bag,
@@ -42,7 +43,6 @@ class TestParse:
         assert not bag.supports
 
     def test_three_node_cycle_file(self):
-        from bagsolve import parent_vector
         bag = parse_bag(FIGURE_LIKE)
         assert bag.names == ("a", "b", "c")
         assert parent_vector(bag, 1).tolist() == [-1, 0, 1]

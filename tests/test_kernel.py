@@ -1,11 +1,13 @@
 """The vector update kernel against the per-argument scalar reference.
 
 ``update`` evaluates all arguments at once with numpy kernels over the
-indegree blocks of ``Bag``; ``aggregate`` over ``parent_vector`` followed by
-``influence`` is the scalar reference. The aggregations add and multiply in
-the same order on both paths, but numpy's ``exp`` and ``power`` may round
-differently from the C library's, so the two may differ by round-off,
-bounded here beforehand by 1e-15.
+indegree blocks of ``Bag``; the scalar ``aggregate`` over ``parent_vector``
+followed by the scalar ``influence``, kept in ``tests/reference.py``, is the
+reference. The aggregations add and multiply in the same order on both
+paths, but numpy's ``exp`` and ``power`` may round differently from the C
+library's, so the two may differ by round-off, bounded here beforehand by
+1e-15. The library's own ``aggregate`` and ``influence`` run the kernel, so
+they are held to ``update`` bit for bit.
 """
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,14 +19,12 @@ from hypothesis import given, strategies as st
 from bagsolve import (
     Bag,
     SemanticsSpec,
-    aggregate,
     codomain_bound,
     dfq,
     generate_family,
     generate_star,
     influence,
     max_indegree,
-    parent_vector,
     qe,
     solve_acyclic,
     topological_levels,
@@ -33,6 +33,8 @@ from bagsolve import (
 )
 from bagsolve import core, semantics
 from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag, specs
+import reference
+from reference import aggregate, parent_vector
 
 TOL = 1e-15
 PAIRS = [(agg, infl) for agg in AGG_KINDS for infl in INFL_KINDS]
@@ -41,8 +43,8 @@ PAIRS = [(agg, infl) for agg in AGG_KINDS for infl in INFL_KINDS]
 def scalar_update(bag: Bag, spec: SemanticsSpec, s) -> np.ndarray:
     s = np.asarray(s, dtype=float).tolist()
     return np.array([
-        influence(spec, float(bag.weights[i]),
-                  aggregate(spec, parent_vector(bag, i), s))
+        reference.influence(spec, float(bag.weights[i]),
+                            aggregate(spec, parent_vector(bag, i), s))
         for i in range(bag.n)
     ])
 
@@ -313,14 +315,14 @@ def reference_influence(spec: SemanticsSpec, w: np.ndarray,
                         a: np.ndarray) -> np.ndarray:
     """The influence of every argument by the kernel's documented formulas,
     written out in numpy from the weights on every call. For ``linear`` and
-    ``constant`` these are the scalar ``influence`` bit for bit; for
-    ``euler`` they are 1 - (1 - w^2) / (1 + w e^a), and for ``pmax`` the
-    overflow-free h(y) with y = min(|x|, 1/|x|), which is where numpy's
-    ``exp`` and ``power`` make them differ from the scalar ones."""
+    ``constant`` these are the scalar reference ``influence`` bit for bit;
+    for ``euler`` they are 1 - (1 - w^2) / (1 + w e^a), and for ``pmax``
+    the overflow-free h(y) with y = min(|x|, 1/|x|), which is where
+    numpy's ``exp`` and ``power`` make them differ from the scalar ones."""
     w = np.asarray(w, dtype=float)
     a = np.asarray(a, dtype=float)
     if spec.influence in ("linear", "constant"):
-        return np.array([influence(spec, wi, ai)
+        return np.array([reference.influence(spec, wi, ai)
                          for wi, ai in zip(w.tolist(), a.tolist())])
     if spec.influence == "euler":
         out = 1.0 - (1.0 - w * w) / (1.0 + w * np.exp(np.minimum(a, 709.0)))
@@ -457,6 +459,60 @@ class TestBitIdentity:
             assert_same_bits(out, reference_update(bag, spec, s))
         assert_same_bits(update_levels(bag, spec, [[0, 1], [2]]),
                          reference_levels(bag, spec, [[0, 1], [2]]))
+
+
+def parent_matrix(bag: Bag) -> np.ndarray:
+    """The parent vectors of every argument, one per row."""
+    return np.array([parent_vector(bag, i) for i in range(bag.n)],
+                    dtype=int).reshape(bag.n, bag.n)
+
+
+def assert_public_kernel_is_update(bag: Bag, spec: SemanticsSpec, s) -> None:
+    """The public ``aggregate`` over every argument's parent vector, then
+    ``influence``, is ``update`` bit for bit, and each aggregate equals
+    the scalar reference."""
+    v = parent_matrix(bag)
+    s = np.asarray(s, dtype=float)
+    a = semantics.aggregate(spec, v, np.tile(s, (bag.n, 1)))
+    assert a.tolist() == [aggregate(spec, row, s.tolist()) for row in v]
+    assert_same_bits(influence(spec, bag.weights, a), update(bag, spec, s))
+
+
+class TestPublicKernel:
+    """``aggregate`` and ``influence`` run the kernel that ``update`` runs,
+    on parent vectors and (w, a) pairs."""
+
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    @pytest.mark.parametrize("name", sorted(BIT_GRAPHS))
+    def test_fixed_graphs(self, name, agg, infl):
+        bag = BIT_GRAPHS[name]
+        for spec in bit_specs(agg, infl, bag):
+            for s in states(bag, seed=len(name)):
+                assert_public_kernel_is_update(bag, spec, s)
+
+    @pytest.mark.parametrize("agg,infl", PAIRS)
+    @given(bag=bags(max_n=9, max_edges=40), data=st.data())
+    def test_random_bags(self, agg, infl, bag, data):
+        spec = spec_for(agg, infl, bag, p=data.draw(st.sampled_from([1, 2, 3])))
+        s = data.draw(st.lists(st.floats(0, 1, allow_nan=False),
+                               min_size=bag.n, max_size=bag.n))
+        assert_public_kernel_is_update(bag, spec, s)
+
+    @pytest.mark.parametrize("agg", AGG_KINDS)
+    def test_one_long_parent_vector_folds_in_order(self, agg):
+        # one parent vector is a lone column, which numpy would otherwise
+        # sum pairwise; a batch of one row is the same case
+        rng = np.random.default_rng(9)
+        v = rng.choice([-1, 0, 1], size=900)
+        s = rng.random(900)
+        spec = SemanticsSpec(agg, "constant")
+        one = semantics.aggregate(spec, v, s)
+        assert type(one) is float
+        assert one == aggregate(spec, v.tolist(), s.tolist())
+        assert semantics.aggregate(spec, v[None], s[None]).tolist() == [one]
+        assert semantics.aggregate(spec, np.stack([v, -v]), np.stack(
+            [s, s])).tolist() == [one, aggregate(spec, (-v).tolist(),
+                                                 s.tolist())]
 
 
 class TestKernelCache:

@@ -20,6 +20,7 @@ from bagsolve import (
     validate_spec,
 )
 from conftest import bags, specs
+from reference import parent_vector
 
 SUM = SemanticsSpec("sum", "constant")
 PRODUCT = SemanticsSpec("product", "constant")
@@ -68,7 +69,6 @@ class TestAggregate:
     @given(bags(), specs(), st.randoms(use_true_random=False))
     def test_directionality_is_exact(self, bag, spec, rnd):
         # states agreeing on the parents must aggregate identically
-        from bagsolve import parent_vector
         i = rnd.randrange(bag.n)
         v = parent_vector(bag, i)
         s1 = [rnd.random() for _ in range(bag.n)]
@@ -128,6 +128,61 @@ class TestInfluence:
         if spec.influence == "linear":
             a = max(-spec.kappa, min(spec.kappa, a))
         assert 0.0 <= influence(spec, w, a) <= 1.0
+
+
+class TestArraysAndBatches:
+    """``aggregate`` takes one parent vector or a batch of rows, and
+    ``influence`` scalars or arrays; each is what one call per row or per
+    element gives."""
+
+    def test_aggregate_batch_rows(self):
+        v = [[-1, 1, 0], [1, 1, 1], [0, 0, 0], [-1, -1, 1]]
+        s = [[0.8, 0.1, 0.3], [0.1, 0.2, 0.3], [0.5, 0.5, 0.5],
+             [0.6, 0.9, 0.2]]
+        for spec in (SUM, PRODUCT, TOP):
+            batch = aggregate(spec, v, s)
+            assert batch.shape == (4,) and batch[2] == 0.0
+            assert batch.tolist() == [aggregate(spec, row, state)
+                                      for row, state in zip(v, s)]
+
+    def test_aggregate_of_an_empty_vector_is_zero(self):
+        for spec in (SUM, PRODUCT, TOP):
+            assert aggregate(spec, [], []) == 0.0
+
+    @pytest.mark.parametrize("spec", [
+        dfq(1.0), euler_semantics(), qe(1.0), SemanticsSpec("sum", "constant"),
+        SemanticsSpec("sum", "pmax", kappa=0.5, p=3)])
+    def test_influence_is_elementwise(self, spec):
+        w = np.array([[0.0, 0.3, 0.5], [0.7, 0.9, 1.0]])
+        a = np.array([[-1.0, -0.4, 0.0], [0.25, 0.6, 1.0]])
+        out = influence(spec, w, a)
+        assert out.shape == (2, 3)
+        assert out.ravel().tolist() == [
+            influence(spec, x, y) for x, y in zip(w.ravel().tolist(),
+                                                  a.ravel().tolist())]
+        assert type(influence(spec, 0.3, -0.4)) is float
+        assert influence(spec, 0.3, a[1]).tolist() == [
+            influence(spec, 0.3, y) for y in a[1].tolist()]
+
+    def test_linear_array_outside_domain_raises(self):
+        with pytest.raises(ValueError, match="aggregate 1.5 outside"):
+            influence(dfq(1.0), [0.5, 0.5, 0.5], [0.2, 1.5, -3.0])
+
+    @pytest.mark.parametrize("kappa", [1e-320, 2.0 ** -1024])
+    def test_linear_at_subnormal_kappa_stays_in_the_unit_interval(self,
+                                                                 kappa):
+        # w / kappa overflows to inf, but a / kappa does not; 2^-1024 is the
+        # largest kappa at which 1 / kappa overflows
+        a = np.array([-kappa, -kappa / 2, 0.0, kappa / 4, kappa])
+        with np.errstate(all="raise"):
+            out = influence(dfq(kappa), 0.4, a)
+        assert out.tolist() == (
+            0.4 + np.where(a < 0.0, 0.4, 0.6) * (a / kappa)).tolist()
+        assert out[0] == 0.0 and out[2] == 0.4 and out[-1] == 1.0
+        bag = Bag(["a", "c"], [0.5, 0.4], attacks={(0, 1)})
+        spec = SemanticsSpec("sum", "linear", kappa=kappa)
+        new = update(bag, spec, [kappa / 2, 0.4])
+        assert new[0] == 0.5 and new[1] == pytest.approx(0.2, rel=1e-3)
 
 
 class TestUpdate:
@@ -205,7 +260,6 @@ class TestCodomainBound:
 
     @given(bags(), specs(), st.data())
     def test_aggregate_lives_inside_bound(self, bag, spec, data):
-        from bagsolve import parent_vector
         i = data.draw(st.integers(0, bag.n - 1))
         v = parent_vector(bag, i)
         s = data.draw(st.lists(st.floats(0, 1, allow_nan=False),
