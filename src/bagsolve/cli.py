@@ -206,16 +206,20 @@ def build_parser() -> _Parser:
     _add_semantics_flags(p_solve)
     p_solve.add_argument("--mode", choices=continuous.MODES, default="auto",
                          help="auto picks single-pass for acyclic graphs, "
-                              "rk4 otherwise")
+                              "step-controlled rk4 otherwise")
     p_solve.add_argument("--delta", type=float, default=continuous.DEFAULT_DELTA,
-                         help="integrator step size (euler/rk4 modes)")
+                         help="integrator step size (euler/rk4 modes); in "
+                              "auto mode the shortest step and the spacing "
+                              "of the trajectory's rows")
     p_solve.add_argument("--tolerance", type=float,
                          default=continuous.DEFAULT_TOLERANCE)
     p_solve.add_argument("--max-iterations", type=int,
                          default=continuous.DEFAULT_MAX_ITERATIONS)
     p_solve.add_argument("--t-max", type=float, default=continuous.DEFAULT_T_MAX)
     p_solve.add_argument("--trajectory", metavar="PATH",
-                         help="write the visited states as CSV")
+                         help="write the states as CSV, one row per step; "
+                              "in auto mode one per delta, interpolated "
+                              "inside longer steps")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cert = sub.add_parser("certify", help="contraction certificate and "

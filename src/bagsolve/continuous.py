@@ -10,11 +10,13 @@ and differ only in the step they take; with step 1 the Euler run reproduces
 the discrete iteration bit for bit.
 
 ``solve`` is the one place that picks a mode: exact single-pass evaluation
-for acyclic graphs, RK4 on the flow otherwise, unless a mode is named.
+for acyclic graphs, step-controlled RK4 on the flow otherwise, unless a mode
+is named.
 """
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,8 +39,18 @@ CYCLE_EPS = 1e-9
 # tolerance is tighter than CYCLE_EPS.
 CYCLE_MIN_AMPLITUDE = 1e-7
 
+# A step-controlled RK4 step is accepted when its local error estimate is at
+# most this share of the run tolerance. At the full tolerance, runs on stiff
+# graphs parked at the stability limit, in a spurious steady state, until
+# the time budget ran out.
+ERROR_SHARE = 0.1
+
 # (state, update(state)) -> next state, a new array, before clipping
 Step = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (state, update(state), its residual, time in steps of dt) -> the next state,
+# clipped, the number m >= 1 of steps of dt it took, and its update
+Control = Callable[[np.ndarray, np.ndarray, float, int],
+                   tuple[np.ndarray, int, np.ndarray]]
 
 
 def rhs(bag: Bag, spec: SemanticsSpec, sigma: np.ndarray) -> np.ndarray:
@@ -68,9 +80,10 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
 
 
-def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
+def _solve(bag: Bag, spec: SemanticsSpec, step: Optional[Step], dt: float,
            tolerance: float, budget: float, record_trajectory: bool,
-           report_update: bool = False) -> SolveResult:
+           report_update: bool = False,
+           control: Optional[Control] = None) -> SolveResult:
     """The solver loop behind iterate and both integrators.
 
     Visits x_0 = weights and x_{k+1} = clip(step(x_k, update(x_k))) at times
@@ -83,6 +96,13 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     an unconverged x_k bit-for-bit unchanged (a step size too small to move
     it) ends the run as budget-exhausted at t_k: the loop is deterministic,
     so it could never leave that state.
+
+    With ``control`` in place of ``step``, a step spans m >= 1 multiples of
+    dt, as the control picks, and brings the update of the state it
+    reached, which the next pass checks instead of making its own. Times
+    stay multiples of dt, oscillation counts only across two steps of equal
+    length, and the trajectory keeps one row per dt: the grid points inside
+    a step are interpolated, not visited.
     """
     _check_run(dt, tolerance, budget)
     validate_spec(bag, spec)
@@ -90,36 +110,62 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Step, dt: float,
     amplitude = max(tolerance, CYCLE_MIN_AMPLITUDE)
     trajectory = Trajectory() if record_trajectory else None
     state = bag.weights.copy()
-    previous = two_back = None
+    previous = two_back = updated = None
     move = 0.0  # max-norm of x_k - x_{k-1}: 0 exactly when they are equal
-    steps = 0
+    units = 0  # time in multiples of dt
+    size, same_size = 0, True  # the last step's m; it equals the one before
 
     def finish(outcome: Outcome, evidence=None) -> SolveResult:
-        return SolveResult(outcome, state, steps * dt,
+        return SolveResult(outcome, state, units * dt,
                            divergence_evidence=evidence, trajectory=trajectory)
 
     if trajectory is not None:
         trajectory.append(0.0, state)
     while True:
-        if (two_back is not None and move > amplitude
+        if (two_back is not None and same_size and move > amplitude
                 and np.abs(state - two_back).max(initial=0.0) <= CYCLE_EPS):
             return finish(Outcome.DIVERGED, (previous, state))
-        if steps * dt >= budget:
+        if units * dt >= budget:
             return finish(Outcome.BUDGET_EXHAUSTED)
-        updated = update(bag, spec, state)
-        converged = np.abs(updated - state).max(initial=0.0) <= tolerance
+        if updated is None:
+            updated = update(bag, spec, state)
+        residual = np.abs(updated - state).max(initial=0.0)
+        converged = residual <= tolerance
         if converged and not report_update:
             return finish(Outcome.CONVERGED)
-        stepped = _clamp(step(state, updated))
+        if control is None:
+            stepped, m, reached = _clamp(step(state, updated)), 1, None
+        else:
+            stepped, m, reached = control(state, updated, residual, units)
         move = np.abs(stepped - state).max(initial=0.0)
         if not converged and move == 0.0:
             return finish(Outcome.BUDGET_EXHAUSTED)
-        two_back, previous, state = previous, state, stepped
-        steps += 1
         if trajectory is not None:
-            trajectory.append(steps * dt, state)
+            if m > 1:
+                inner = _hermite(state, updated - state, stepped,
+                                 reached - stepped, m, dt)
+                for j, row in enumerate(inner, units + 1):
+                    trajectory.append(j * dt, row)
+            trajectory.append((units + m) * dt, stepped)
+        two_back, previous, state, updated = previous, state, stepped, reached
+        same_size, size = m == size, m
+        units += m
         if converged:
             return finish(Outcome.CONVERGED)
+
+
+def _hermite(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray,
+             m: int, dt: float) -> np.ndarray:
+    """Rows j = 1 .. m-1: the state at j * dt into a step of m * dt from x0
+    to x1, by cubic Hermite interpolation of the end states and their
+    derivatives f0 and f1 (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+    clamped."""
+    theta = (np.arange(1, m) / m)[:, None]
+    h = m * dt
+    d = x1 - x0
+    bend = ((1.0 - 2.0 * theta) * d + (theta - 1.0) * (h * f0)
+            + theta * (h * f1))
+    return _clamp(x0 + theta * d + theta * (theta - 1.0) * bend)
 
 
 def _lerp(delta: float) -> Step:
@@ -175,14 +221,30 @@ def integrate_rk4(
     tolerance: float = DEFAULT_TOLERANCE,
     t_max: float = DEFAULT_T_MAX,
     record_trajectory: bool = True,
+    *,
+    step_control: bool = False,
 ) -> SolveResult:
-    """Classical fourth-order Runge-Kutta with fixed step ``delta``.
+    """Classical fourth-order Runge-Kutta with fixed step ``delta``, or with
+    ``step_control`` in steps of whole multiples of it.
 
     Four derivative evaluations per step, so a run that converges after k
     steps makes 4k + 1 updates; termination, divergence detection and
     clamping as in integrate_euler. Fixed points of the update map are
     equilibria of every step size, so the limit does not inherit an
     O(delta^4) bias.
+
+    With ``step_control``, ``delta`` is the shortest step and the spacing of
+    the trajectory's rows. A step of m * delta is accepted when its local
+    error estimate (h/6) max|k4 - f(x_next)| is at most ERROR_SHARE times
+    ``tolerance``; f(x_next) = update(x_next) - x_next is the next step's
+    first stage, so every try still costs four updates. A step of one delta
+    is always accepted, so no run takes more steps than the fixed one, and
+    each step of one delta is bit-identical to it. A rejected step is tried
+    again shorter from the same state. The next m follows the estimate's
+    third order, at most doubling, does not grow after a step that failed
+    to lower the residual max|f|, and never carries the run past the first
+    multiple of delta at or after ``t_max``. Rows inside a step are cubic
+    Hermite interpolants, not visited states.
     """
     # The stages live in buffers made once per run. Stage states of a large
     # step can overshoot [0,1]; the derivative is evaluated on the clamped
@@ -195,18 +257,52 @@ def integrate_rk4(
         _clamp(np.add(state, np.multiply(k, h, out=x), out=x))
         return np.subtract(update(bag, spec, x), x, out=out)
 
-    def step(state: np.ndarray, updated: np.ndarray) -> np.ndarray:
-        # state + delta/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    def rk4(state: np.ndarray, updated: np.ndarray,
+            h: float) -> tuple[np.ndarray, np.ndarray]:
+        # state + h/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right, and k4
         np.subtract(updated, state, out=k1)
-        slope(state, k1, 0.5 * delta, k2)
-        slope(state, k2, 0.5 * delta, k3)
-        k4 = slope(state, k3, delta, x)
+        slope(state, k1, 0.5 * h, k2)
+        slope(state, k2, 0.5 * h, k3)
+        k4 = slope(state, k3, h, x)
         total = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k1)
         np.add(total, np.multiply(k3, 2.0, out=k3), out=total)
         np.add(total, k4, out=total)
-        return state + np.multiply(total, delta / 6.0, out=total)
+        return state + np.multiply(total, h / 6.0, out=total), k4
 
-    return _solve(bag, spec, step, delta, tolerance, t_max, record_trajectory)
+    if not step_control:
+        return _solve(bag, spec, lambda s, u: rk4(s, u, delta)[0], delta,
+                      tolerance, t_max, record_trajectory)
+
+    target = ERROR_SHARE * tolerance
+    # the m the last error estimate allows, the m of the last step taken,
+    # and the residual at that step's start
+    fit, taken, last_residual = 1, 1, np.inf
+
+    def controlled(state: np.ndarray, updated: np.ndarray, residual: float,
+                   units: int) -> tuple[np.ndarray, int, np.ndarray]:
+        nonlocal fit, taken, last_residual
+        m = fit if residual < last_residual else min(fit, taken)
+        last_residual = residual
+        if (units + m - 1) * delta >= t_max:  # the fixed run stops sooner
+            m = max(1, min(m, math.ceil(t_max / delta) - units))
+            while m > 1 and (units + m - 1) * delta >= t_max:
+                m -= 1
+        while True:
+            h = m * delta
+            stepped, k4 = rk4(state, updated, h)
+            reached = update(bag, spec, _clamp(stepped))
+            error = h / 6.0 * np.abs(k4 - (reached - stepped)).max(initial=0.0)
+            # m by the estimate's third order, at most doubled; above 11 the
+            # ratio would pass the doubling anyway, and dividing could overflow
+            ratio = target / error if error > target / 11.0 else 11.0
+            fit = max(1, int(m * min(2.0, 0.9 * ratio ** (1 / 3))))
+            if m == 1 or error <= target:
+                taken = m
+                return stepped, m, reached
+            m = min(m - 1, fit)
+
+    return _solve(bag, spec, None, delta, tolerance, t_max, record_trajectory,
+                  control=controlled)
 
 
 def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
@@ -218,8 +314,10 @@ def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
 
     ``acyclic`` is ``discrete.solve_acyclic`` (CyclicGraphError on a cycle),
     reported as converged after one iteration, ``discrete`` is ``iterate``
-    and ``euler``/``rk4`` are the integrators. ``auto`` runs ``acyclic`` and
-    falls back to ``rk4`` on a cycle, so the graph is sorted only once.
+    and ``euler``/``rk4`` are the fixed-step integrators. ``auto`` runs
+    ``acyclic`` and falls back to ``integrate_rk4`` with ``step_control`` on
+    a cycle, reported as ``rk4``, so the graph is sorted only once; there
+    ``delta`` is the shortest step and the trajectory's row spacing.
     ``delta``, ``tolerance``, ``t_max`` and ``max_iterations`` are checked
     in every mode, used or not, so that one set of flags is accepted or
     refused whatever the graph.
@@ -233,7 +331,9 @@ def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
         except discrete.CyclicGraphError:
             if mode == "acyclic":
                 raise
-            mode = "rk4"
+            return "rk4", integrate_rk4(
+                bag, spec, delta=delta, tolerance=tolerance, t_max=t_max,
+                record_trajectory=record_trajectory, step_control=True)
         else:
             trajectory = (Trajectory([0.0, 1.0], [bag.weights, strengths])
                           if record_trajectory else None)

@@ -28,6 +28,8 @@ from bagsolve.analysis import DUALITY_TOL, LIPSCHITZ_SLACK
 # math.exp overflows past this; the euler influence saturates to its upper
 # limit there, so we short-circuit instead of raising OverflowError.
 _EXP_MAX = 709.0
+# 1 / kappa overflows from here down
+_KAPPA_MIN = 2.0 ** -1024
 
 
 def parent_vector(bag: Bag, i: int) -> np.ndarray:
@@ -120,6 +122,8 @@ def _infl_linear(w: float, a: float, kappa: float) -> float:
         # w / kappa overflows for a subnormal kappa, and inf * 0 is NaN
         return w
     a = min(max(a, -kappa), kappa)  # absorb float round-off at the boundary
+    if kappa <= _KAPPA_MIN:  # w / kappa overflows; |a / kappa| <= 1
+        return w + (w if a < 0.0 else 1.0 - w) * (a / kappa)
     if a < 0.0:
         return w + (w / kappa) * a
     return w + ((1.0 - w) / kappa) * a

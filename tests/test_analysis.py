@@ -172,6 +172,7 @@ class TestBatchedChecks:
         SemanticsSpec("sum", "pmax", kappa=3.0, p=3),
         SemanticsSpec("sum", "linear", kappa=2.0),
         SemanticsSpec("top", "linear", kappa=1e300),
+        SemanticsSpec("sum", "linear", kappa=1e-320),
         SemanticsSpec("product", "euler"),
         SemanticsSpec("top", "pmax", kappa=0.5, p=1),
         SemanticsSpec("sum", "constant"),

@@ -144,16 +144,23 @@ class TestSolve:
 
 
 class TestPinnedBytes:
-    """Stdout and trajectory CSV of two solves, pinned by sha256. The hashes
-    were recorded with the kernel and solver loop that rebuilt every
-    constant on each update (commit e26fc61); the cached kernel constants,
-    the leaner RK4 loop and the per-row CSV memo must not change a byte."""
+    """Stdout and trajectory CSV of three solves, pinned by sha256. The
+    fixed-step hashes were recorded with the kernel and solver loop that
+    rebuilt every constant on each update (commit e26fc61); the cached
+    kernel constants, the leaner RK4 loop, the per-row CSV memo and the
+    step control beside the fixed step must not change a byte. The auto
+    case was recorded when auto mode took up step-controlled RK4."""
 
     FAMILY_K2 = (Path(__file__).resolve().parent.parent / "fixtures"
                  / "family_k2.bag")
     CASES = {
-        # auto mode: RK4 at delta 0.01 for 5.49 time units, converged
-        "euler": (["--semantics", "euler"], 0,
+        # auto mode: step-controlled RK4, rows every 0.01 up to t = 5.87,
+        # most of them interpolated, converged
+        "euler-auto": (["--semantics", "euler"], 0,
+                       "c656268f45f32a0e26563dac552260e0c7d07e0f4300b45fd2621d1f23357ce9",
+                       "9cbe31d4eef34ed668d0d88453e4cefb54e54ac62247e6b81fa896d65a540f78"),
+        # RK4 at delta 0.01 for 5.49 time units, converged
+        "euler": (["--semantics", "euler", "--mode", "rk4", "--delta", "0.01"], 0,
                   "36332d8a95574736f5084aa757a07f299b28a55603e0276a8ffa38e5f1c604be",
                   "3dc4b261f92148c8cb88a80327bab885f24eec549cfb073df420502795aa5497"),
         # one RK4 step to the corners [1, 1, 0, 0], which the next step

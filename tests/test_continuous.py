@@ -268,7 +268,9 @@ class TestSolve:
         else:
             integrator = {"euler": integrate_euler,
                           "rk4": integrate_rk4}[expected_mode]
-            expected = integrator(bag, spec, **SOLVE_PARAMS)
+            # auto integrates with step control, explicit rk4 without
+            control = {"step_control": True} if mode == "auto" else {}
+            expected = integrator(bag, spec, **SOLVE_PARAMS, **control)
         ran, result = solve(bag, spec, mode, max_iterations=SOLVE_ITERATIONS,
                             **SOLVE_PARAMS)
         assert ran == expected_mode
@@ -337,3 +339,159 @@ class TestRk4Step:
         result = integrate_rk4(bag, spec, delta=delta, tolerance=1e-6,
                                t_max=50.0)
         assert_same_result(result, expected)
+
+
+CYCLIC_FIXTURES = [path for path in FIXTURES
+                   if topological_order(parse_bag(path.read_text())) is None]
+RESCUE = generate_family(50, 0.9, 0.1)
+
+
+class TestStepControl:
+    """integrate_rk4(..., step_control=True), the integrator of auto mode."""
+
+    @staticmethod
+    def pair(bag, spec, **flags):
+        return (integrate_rk4(bag, spec, **flags),
+                integrate_rk4(bag, spec, step_control=True, **flags))
+
+    @pytest.mark.parametrize("spec_name", SOLVE_SPECS)
+    @pytest.mark.parametrize("path", CYCLIC_FIXTURES, ids=lambda p: p.stem)
+    def test_steps_of_one_delta_match_the_fixed_run(self, path, spec_name,
+                                                    monkeypatch):
+        # the rows up to the start of the first longer step are the fixed
+        # run's, bit for bit
+        bag = parse_bag(path.read_text())
+        spec = SOLVE_SPECS[spec_name]
+        starts = []
+        real = bagsolve.continuous._hermite
+        monkeypatch.setattr(bagsolve.continuous, "_hermite",
+                            lambda x0, *rest: starts.append(x0)
+                            or real(x0, *rest))
+        fixed, controlled = self.pair(bag, spec)
+        assert starts, "no step longer than delta"
+        first = next(i for i, s in enumerate(controlled.trajectory.states)
+                     if s is starts[0])
+        assert first >= 1
+        for a, b in zip(fixed.trajectory.states[:first + 1],
+                        controlled.trajectory.states[:first + 1]):
+            assert np.array_equal(a, b)
+        assert (controlled.trajectory.times[:first + 1]
+                == fixed.trajectory.times[:first + 1])
+
+    @pytest.mark.parametrize("delta", [1.0, 2.5])
+    @pytest.mark.parametrize("spec_name", SOLVE_SPECS)
+    @pytest.mark.parametrize("path", CYCLIC_FIXTURES, ids=lambda p: p.stem)
+    def test_a_run_that_never_lengthens_its_step_is_the_fixed_run(
+            self, path, spec_name, delta):
+        # at these steps no error estimate admits a longer one
+        bag = parse_bag(path.read_text())
+        fixed, controlled = self.pair(bag, SOLVE_SPECS[spec_name],
+                                      delta=delta, t_max=100.0)
+        assert_same_result(controlled, fixed)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("spec_name", SOLVE_SPECS)
+    @pytest.mark.parametrize("path", CYCLIC_FIXTURES, ids=lambda p: p.stem)
+    def test_time_and_rows_are_on_the_delta_grid(self, path, spec_name, delta):
+        bag = parse_bag(path.read_text())
+        result = integrate_rk4(bag, SOLVE_SPECS[spec_name], delta=delta,
+                               step_control=True)
+        traj = result.trajectory
+        units = round(result.effort / delta)
+        assert result.effort == units * delta
+        assert len(traj) == units + 1
+        assert traj.times == [j * delta for j in range(units + 1)]
+        assert traj.states[-1] is result.strengths
+        for state in traj.states:
+            assert np.all(state >= 0.0) and np.all(state <= 1.0)
+
+    @pytest.mark.parametrize("spec_name", SOLVE_SPECS)
+    @pytest.mark.parametrize("bag", [
+        *[pytest.param(parse_bag(p.read_text()), id=p.stem)
+          for p in CYCLIC_FIXTURES],
+        pytest.param(generate_family(5, 0.9, 0.1), id="family_k5"),
+        *[pytest.param(random_bag(np.random.default_rng(seed), n_max=30),
+                       id=f"random{seed}") for seed in range(4)],
+    ])
+    def test_converges_exactly_when_the_fixed_run_does(self, bag, spec_name):
+        spec = SOLVE_SPECS[spec_name]
+        for tolerance in (1e-4, 1e-7):
+            fixed, controlled = self.pair(bag, spec, tolerance=tolerance,
+                                          t_max=200.0, record_trajectory=False)
+            assert controlled.outcome is fixed.outcome
+            if controlled.converged:
+                assert verify_fixed_point(bag, spec, controlled.strengths,
+                                          tolerance)
+
+    @pytest.mark.parametrize("spec", [qe(1.0), qe(0.3), euler_semantics()],
+                             ids=["qe1", "qe0.3", "euler"])
+    def test_no_hover_at_the_stability_limit(self, spec, update_calls):
+        # steps that parked at the stability limit, in a spurious steady
+        # state, used to run on to t_max
+        result = integrate_rk4(RESCUE, spec, step_control=True,
+                               record_trajectory=False)
+        assert result.outcome is Outcome.CONVERGED
+        assert len(update_calls) <= 400
+        assert verify_fixed_point(RESCUE, spec, result.strengths, 1e-4)
+
+    @pytest.mark.parametrize("t_max", [0.05, 0.3, 2.37, 4.0])
+    def test_budget_ends_where_the_fixed_run_ends(self, t_max):
+        fixed, controlled = self.pair(RESCUE, euler_semantics(), t_max=t_max)
+        assert controlled.outcome is Outcome.BUDGET_EXHAUSTED
+        assert controlled.effort == fixed.effort
+        assert len(controlled.trajectory) == len(fixed.trajectory)
+
+    def test_every_try_costs_four_updates(self, update_calls):
+        # the update at a step's end is the next step's first stage
+        result = integrate_rk4(RESCUE, euler_semantics(), step_control=True)
+        assert result.converged
+        assert len(update_calls) % 4 == 1
+        assert len(update_calls) < 4 * round(result.effort / 0.01)
+
+    def test_oscillation_counts_only_across_equal_steps(self):
+        # a stand-in control that swings between the weights and another
+        # state: with alternating step lengths that is no period-2 evidence
+        other = np.full(FAMILY.n, 0.5)
+
+        def control_of(sizes):
+            taken = []
+
+            def control(state, updated, residual, units):
+                m = sizes[len(taken) % len(sizes)]
+                taken.append(m)
+                target = other if np.array_equal(state, FAMILY.weights) \
+                    else FAMILY.weights.copy()
+                return target, m, bagsolve.continuous.update(
+                    FAMILY, qe(1.0), target)
+            return control
+
+        def run(sizes):
+            return bagsolve.continuous._solve(
+                FAMILY, qe(1.0), None, 0.1, 1e-4, 5.0, False,
+                control=control_of(sizes))
+
+        assert run([1]).outcome is Outcome.DIVERGED
+        assert run([2]).outcome is Outcome.DIVERGED
+        alternating = run([1, 2])
+        assert alternating.outcome is Outcome.BUDGET_EXHAUSTED
+        assert alternating.effort >= 5.0
+
+
+class TestHermite:
+    def test_reproduces_cubics(self):
+        # exact for x(t) = c0 + c1 t + c2 t^2 + c3 t^3 on a step of 5 * 0.1
+        c = np.array([[0.2, 0.3], [0.1, -0.2], [0.3, 0.4], [-0.2, 0.1]])
+        x = lambda t: c[0] + c[1] * t + c[2] * t ** 2 + c[3] * t ** 3
+        dx = lambda t: c[1] + 2 * c[2] * t + 3 * c[3] * t ** 2
+        rows = bagsolve.continuous._hermite(x(0.0), dx(0.0), x(0.5), dx(0.5),
+                                            5, 0.1)
+        assert rows.shape == (4, 2)
+        for j, row in enumerate(rows, 1):
+            assert row == pytest.approx(x(0.1 * j), abs=1e-14)
+
+    def test_clamps_into_range(self):
+        rows = bagsolve.continuous._hermite(np.array([1.0]), np.array([5.0]),
+                                            np.array([0.0]), np.array([-5.0]),
+                                            4, 1.0)
+        assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
+        assert rows.max() == 1.0

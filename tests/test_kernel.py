@@ -460,6 +460,20 @@ class TestBitIdentity:
         assert_same_bits(update_levels(bag, spec, [[0, 1], [2]]),
                          reference_levels(bag, spec, [[0, 1], [2]]))
 
+    @pytest.mark.parametrize("kappa", [1e-320, 2.0 ** -1024, 5e-324])
+    def test_subnormal_kappa_nonzero_aggregates(self, kappa):
+        # no graph reaches these (validate_spec refuses any parent), so the
+        # public influence is compared: a / kappa in [-1, 1], never +-inf
+        spec = SemanticsSpec("sum", "linear", kappa=kappa)
+        w = np.array([0.0, 1e-300, 0.25, 0.5, 0.8444218515250481, 1.0])
+        for a in (kappa, -kappa, kappa / 2, -kappa / 2, 5e-324, -5e-324,
+                  0.0, -0.0):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                out = influence(spec, w, np.full(w.shape, a))
+            assert np.all((out >= 0.0) & (out <= 1.0))
+            assert_same_bits(out, [reference.influence(spec, float(x), a)
+                                   for x in w])
+
 
 def parent_matrix(bag: Bag) -> np.ndarray:
     """The parent vectors of every argument, one per row."""
