@@ -6,8 +6,8 @@ Replacing the discrete update with its flow keeps every fixed point in place
 resolves the period-2 oscillation that kills the discrete iteration on some
 cyclic graphs. Discrete iteration is the flow sampled by explicit Euler with
 step 1, so iterate, integrate_euler and integrate_rk4 share one solver loop
-and differ only in the step they take; with step 1 the Euler run reproduces
-the discrete iteration bit for bit.
+and differ only in how they advance the state; with step 1 the Euler run
+reproduces the discrete iteration bit for bit.
 
 ``solve`` is the one place that picks a mode: exact single-pass evaluation
 for acyclic graphs, step-controlled RK4 on the flow otherwise, unless a mode
@@ -45,12 +45,11 @@ CYCLE_MIN_AMPLITUDE = 1e-7
 # the time budget ran out.
 ERROR_SHARE = 0.1
 
-# (state, update(state)) -> next state, a new array, before clipping
-Step = Callable[[np.ndarray, np.ndarray], np.ndarray]
-# (state, update(state), its residual, time in steps of dt) -> the next state,
-# clipped, the number m >= 1 of steps of dt it took, and its update
-Control = Callable[[np.ndarray, np.ndarray, float, int],
-                   tuple[np.ndarray, int, np.ndarray]]
+# (state, update(state), time in steps of dt) -> the next state, a new array,
+# clamped; the number m >= 1 of steps of dt it took; and the update of that
+# state, or None for the loop to make it
+Advance = Callable[[np.ndarray, np.ndarray, int],
+                   tuple[np.ndarray, int, Optional[np.ndarray]]]
 
 
 def rhs(bag: Bag, spec: SemanticsSpec, sigma: np.ndarray) -> np.ndarray:
@@ -73,6 +72,8 @@ def _check_run(dt: float, tolerance: float, *budgets: float) -> None:
     for budget in budgets:
         if budget != budget:  # only NaN differs from itself
             raise ValueError(f"budget must be a number, got {budget}")
+        if not abs(budget) < np.inf:  # a run that never settles never ends
+            raise ValueError(f"budget must be finite, got {budget}")
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -80,29 +81,24 @@ def _clamp(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
 
 
-def _solve(bag: Bag, spec: SemanticsSpec, step: Optional[Step], dt: float,
+def _solve(bag: Bag, spec: SemanticsSpec, advance: Advance, dt: float,
            tolerance: float, budget: float, record_trajectory: bool,
-           report_update: bool = False,
-           control: Optional[Control] = None) -> SolveResult:
+           report_update: bool = False) -> SolveResult:
     """The solver loop behind iterate and both integrators.
 
-    Visits x_0 = weights and x_{k+1} = clip(step(x_k, update(x_k))) at times
-    t_k = k * dt. Each pass checks, in this order: period-2 oscillation (x_k
-    within CYCLE_EPS of x_{k-2} while x_{k-1} -> x_k moved more than the
-    tolerance), the budget (t_k >= budget, before any work), then makes one
-    update, stops when it moves no coordinate of x_k by more than the
-    tolerance, and otherwise steps. A converged run reports x_k at t_k, or,
-    with ``report_update``, the stepped state at t_{k+1}. A step that leaves
-    an unconverged x_k bit-for-bit unchanged (a step size too small to move
-    it) ends the run as budget-exhausted at t_k: the loop is deterministic,
-    so it could never leave that state.
-
-    With ``control`` in place of ``step``, a step spans m >= 1 multiples of
-    dt, as the control picks, and brings the update of the state it
-    reached, which the next pass checks instead of making its own. Times
-    stay multiples of dt, oscillation counts only across two steps of equal
-    length, and the trajectory keeps one row per dt: the grid points inside
-    a step are interpolated, not visited.
+    Visits x_0 = weights and x_{k+1}, the state ``advance(x_k, update(x_k),
+    t_k / dt)`` reaches, at t_{k+1} = t_k + m * dt for the m >= 1 it took.
+    Each pass checks, in this order: period-2 oscillation (x_k within
+    CYCLE_EPS of x_{k-2}, over two steps of equal m, while x_{k-1} -> x_k
+    moved more than the tolerance), the budget (t_k >= budget, before any
+    work), then makes one update, unless the advance brought it, stops when
+    it moves no coordinate of x_k by more than the tolerance, and otherwise
+    advances. A converged run reports x_k at t_k, or, with
+    ``report_update``, the advanced state. An advance that leaves an
+    unconverged x_k bit-for-bit unchanged (a step size too small to move it)
+    ends the run as budget-exhausted at t_k: the loop is deterministic, so
+    it could never leave that state. The trajectory keeps one row per dt:
+    the grid points inside a step of m > 1 are interpolated, not visited.
     """
     _check_run(dt, tolerance, budget)
     validate_spec(bag, spec)
@@ -129,14 +125,10 @@ def _solve(bag: Bag, spec: SemanticsSpec, step: Optional[Step], dt: float,
             return finish(Outcome.BUDGET_EXHAUSTED)
         if updated is None:
             updated = update(bag, spec, state)
-        residual = np.abs(updated - state).max(initial=0.0)
-        converged = residual <= tolerance
+        converged = np.abs(updated - state).max(initial=0.0) <= tolerance
         if converged and not report_update:
             return finish(Outcome.CONVERGED)
-        if control is None:
-            stepped, m, reached = _clamp(step(state, updated)), 1, None
-        else:
-            stepped, m, reached = control(state, updated, residual, units)
+        stepped, m, reached = advance(state, updated, units)
         move = np.abs(stepped - state).max(initial=0.0)
         if not converged and move == 0.0:
             return finish(Outcome.BUDGET_EXHAUSTED)
@@ -168,10 +160,11 @@ def _hermite(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray,
     return _clamp(x0 + theta * d + theta * (theta - 1.0) * bend)
 
 
-def _lerp(delta: float) -> Step:
+def _lerp(delta: float) -> Advance:
     # With delta = 1 this is exactly update(state), which makes discrete
     # iteration the unit-step Euler run.
-    return lambda state, updated: (1.0 - delta) * state + delta * updated
+    return lambda state, updated, units: (
+        _clamp((1.0 - delta) * state + delta * updated), 1, None)
 
 
 def iterate(
@@ -241,8 +234,7 @@ def integrate_rk4(
     is always accepted, so no run takes more steps than the fixed one, and
     each step of one delta is bit-identical to it. A rejected step is tried
     again shorter from the same state. The next m follows the estimate's
-    third order, at most doubling, does not grow after a step that failed
-    to lower the residual max|f|, and never carries the run past the first
+    third order, at most doubling, and never carries the run past the first
     multiple of delta at or after ``t_max``. Rows inside a step are cubic
     Hermite interpolants, not visited states.
     """
@@ -269,20 +261,15 @@ def integrate_rk4(
         np.add(total, k4, out=total)
         return state + np.multiply(total, h / 6.0, out=total), k4
 
-    if not step_control:
-        return _solve(bag, spec, lambda s, u: rk4(s, u, delta)[0], delta,
-                      tolerance, t_max, record_trajectory)
-
     target = ERROR_SHARE * tolerance
-    # the m the last error estimate allows, the m of the last step taken,
-    # and the residual at that step's start
-    fit, taken, last_residual = 1, 1, np.inf
+    fit = 1  # the m the last error estimate allows
 
-    def controlled(state: np.ndarray, updated: np.ndarray, residual: float,
-                   units: int) -> tuple[np.ndarray, int, np.ndarray]:
-        nonlocal fit, taken, last_residual
-        m = fit if residual < last_residual else min(fit, taken)
-        last_residual = residual
+    def advance(state: np.ndarray, updated: np.ndarray,
+                units: int) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
+        nonlocal fit
+        if not step_control:
+            return _clamp(rk4(state, updated, delta)[0]), 1, None
+        m = fit
         if (units + m - 1) * delta >= t_max:  # the fixed run stops sooner
             m = max(1, min(m, math.ceil(t_max / delta) - units))
             while m > 1 and (units + m - 1) * delta >= t_max:
@@ -297,12 +284,11 @@ def integrate_rk4(
             ratio = target / error if error > target / 11.0 else 11.0
             fit = max(1, int(m * min(2.0, 0.9 * ratio ** (1 / 3))))
             if m == 1 or error <= target:
-                taken = m
                 return stepped, m, reached
             m = min(m - 1, fit)
 
-    return _solve(bag, spec, None, delta, tolerance, t_max, record_trajectory,
-                  control=controlled)
+    return _solve(bag, spec, advance, delta, tolerance, t_max,
+                  record_trajectory)
 
 
 def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,

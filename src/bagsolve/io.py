@@ -95,18 +95,14 @@ def parse_bag(source: Union[str, IO[str]]) -> Bag:
         list(filter(None, parts[i::stride])) for i in range(1, stride))
     del parts  # freed before Bag allocates its arrays: a lower peak
     weights = list(map(float, weight_texts))
-    index = dict(zip(names, range(len(names))))
-    if (len(names) + len(att_src) + len(sup_src) == statements  # none malformed
-            and len(index) == len(names)
-            and 0.0 <= min(weights, default=0.0)
-            and max(weights, default=0.0) <= 1.0):
-        get = index.__getitem__
+    if len(names) + len(att_src) + len(sup_src) == statements:  # none malformed
+        get = dict(zip(names, range(len(names)))).__getitem__
         try:
             attacks = zip(list(map(get, att_src)), list(map(get, att_dst)))
             supports = zip(list(map(get, sup_src)), list(map(get, sup_dst)))
             return Bag(names, weights, attacks, supports)
         except (KeyError, BagValidationError):
-            pass  # an undeclared name, or a pair both attack and support
+            pass  # an undeclared name, or Bag refused the graph
     raise BagParseError(_diagnose(text))
 
 

@@ -229,6 +229,7 @@ class TestBadInput:
         (["--mode", "rk4", "--delta", "inf"], "step size must be positive"),
         (["--mode", "euler", "--delta", "nan"], "step size must be positive"),
         (["--t-max", "nan"], "budget must be a number"),
+        (["--mode", "euler", "--t-max", "inf"], "budget must be finite"),
     ])
     def test_non_finite_step_or_budget(self, family_file, capsys, flags,
                                        message):

@@ -188,6 +188,14 @@ class TestSolverLoop:
         assert steps > 0
         assert len(update_calls) == 4 * steps + 1
 
+    def test_budget_ended_fixed_rk4_makes_no_look_ahead_update(
+            self, update_calls):
+        # four updates per step; a step that also brought the update of the
+        # state it reached would leave one more behind at the budget
+        result = integrate_rk4(FAMILY, qe(1.0), delta=0.1, t_max=1.0)
+        assert result.outcome is Outcome.BUDGET_EXHAUSTED
+        assert len(result.trajectory) == 11
+        assert len(update_calls) == 40
 
     @pytest.mark.parametrize("integrator", [integrate_euler, integrate_rk4])
     def test_step_that_cannot_move_the_state_ends_the_run(self, integrator):
@@ -287,6 +295,8 @@ class TestSolve:
         (dict(tolerance=0.0), "tolerance must be positive"),
         (dict(t_max=float("nan")), "budget must be a number"),
         (dict(max_iterations=float("nan")), "budget must be a number"),
+        (dict(t_max=float("inf")), "budget must be finite"),
+        (dict(max_iterations=float("inf")), "budget must be finite"),
     ])
     @pytest.mark.parametrize("mode", MODES)
     def test_run_flags_are_checked_in_every_mode(self, mode, flags, message):
@@ -315,13 +325,14 @@ class TestSolve:
 
 def reference_rk4_step(bag, spec, delta):
     """The RK4 step written plainly, with a fresh array per stage."""
-    def step(state, updated):
+    def advance(state, updated, units):
         k1 = updated - state
         k2 = rhs(bag, spec, np.clip(state + 0.5 * delta * k1, 0.0, 1.0))
         k3 = rhs(bag, spec, np.clip(state + 0.5 * delta * k2, 0.0, 1.0))
         k4 = rhs(bag, spec, np.clip(state + delta * k3, 0.0, 1.0))
-        return state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return step
+        stepped = state + (delta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.clip(stepped, 0.0, 1.0), 1, None
+    return advance
 
 
 class TestRk4Step:
@@ -456,7 +467,7 @@ class TestStepControl:
         def control_of(sizes):
             taken = []
 
-            def control(state, updated, residual, units):
+            def control(state, updated, units):
                 m = sizes[len(taken) % len(sizes)]
                 taken.append(m)
                 target = other if np.array_equal(state, FAMILY.weights) \
@@ -467,8 +478,7 @@ class TestStepControl:
 
         def run(sizes):
             return bagsolve.continuous._solve(
-                FAMILY, qe(1.0), None, 0.1, 1e-4, 5.0, False,
-                control=control_of(sizes))
+                FAMILY, qe(1.0), control_of(sizes), 0.1, 1e-4, 5.0, False)
 
         assert run([1]).outcome is Outcome.DIVERGED
         assert run([2]).outcome is Outcome.DIVERGED
