@@ -6,115 +6,50 @@ for acyclic graphs, by fixed-point iteration, or by integrating the
 continuized dynamics. Contraction certificates bound the iteration count a
 priori; the analysis helpers generate benchmark graphs and check duality and
 open-mindedness properties.
+
+The names below are imported from their submodule on first use (PEP 562),
+so ``import bagsolve`` itself loads no submodule and no numpy.
 """
 
-from .core import (
-    Bag,
-    BagValidationError,
-    max_indegree,
-    topological_levels,
-    topological_order,
-)
-from .io import (
-    BagParseError,
-    ParseDiagnostic,
-    parse_bag,
-    serialize_bag,
-    write_trajectory_csv,
-)
-from .semantics import (
-    SemanticsSpec,
-    SemanticsConfigError,
-    PRESETS,
-    aggregate,
-    codomain_bound,
-    dfq,
-    euler_semantics,
-    influence,
-    lipschitz_aggregation,
-    lipschitz_influence,
-    qe,
-    update,
-    update_levels,
-    validate_spec,
-)
-from .results import Outcome, SolveResult, Trajectory
-from .discrete import (
-    ConvergenceCertificate,
-    CyclicGraphError,
-    certify,
-    solve_acyclic,
-)
-from .continuous import (
-    MODES,
-    integrate_euler,
-    integrate_rk4,
-    iterate,
-    rhs,
-    solve,
-    verify_fixed_point,
-)
-from .analysis import (
-    CheckReport,
-    OpenMindednessBound,
-    check_duality_aggregation,
-    check_duality_influence,
-    check_lipschitz_aggregation,
-    check_lipschitz_influence,
-    fixture_duality_bag,
-    generate_family,
-    generate_star,
-    open_mindedness_bound,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bag",
-    "BagParseError",
-    "BagValidationError",
-    "CheckReport",
-    "ConvergenceCertificate",
-    "CyclicGraphError",
-    "MODES",
-    "Outcome",
-    "OpenMindednessBound",
-    "ParseDiagnostic",
-    "PRESETS",
-    "SemanticsConfigError",
-    "SemanticsSpec",
-    "SolveResult",
-    "Trajectory",
-    "aggregate",
-    "certify",
-    "check_duality_aggregation",
-    "check_duality_influence",
-    "check_lipschitz_aggregation",
-    "check_lipschitz_influence",
-    "codomain_bound",
-    "dfq",
-    "euler_semantics",
-    "fixture_duality_bag",
-    "generate_family",
-    "generate_star",
-    "influence",
-    "integrate_euler",
-    "integrate_rk4",
-    "iterate",
-    "lipschitz_aggregation",
-    "lipschitz_influence",
-    "max_indegree",
-    "open_mindedness_bound",
-    "parse_bag",
-    "qe",
-    "rhs",
-    "serialize_bag",
-    "solve",
-    "solve_acyclic",
-    "topological_levels",
-    "topological_order",
-    "update",
-    "update_levels",
-    "validate_spec",
-    "verify_fixed_point",
-]
+# submodule -> the public names it defines
+_PUBLIC = {
+    "core": ("Bag", "BagValidationError", "max_indegree",
+             "topological_levels", "topological_order"),
+    "io": ("BagParseError", "ParseDiagnostic", "parse_bag", "serialize_bag",
+           "write_trajectory_csv"),
+    "semantics": ("SemanticsSpec", "SemanticsConfigError", "PRESETS",
+                  "aggregate", "codomain_bound", "dfq", "euler_semantics",
+                  "influence", "lipschitz_aggregation", "lipschitz_influence",
+                  "qe", "update", "update_levels", "validate_spec"),
+    "results": ("Outcome", "SolveResult", "Trajectory"),
+    "discrete": ("ConvergenceCertificate", "CyclicGraphError", "certify",
+                 "solve_acyclic"),
+    "continuous": ("MODES", "integrate_euler", "integrate_rk4", "iterate",
+                   "rhs", "solve", "verify_fixed_point"),
+    "analysis": ("CheckReport", "OpenMindednessBound",
+                 "check_duality_aggregation", "check_duality_influence",
+                 "check_lipschitz_aggregation", "check_lipschitz_influence",
+                 "fixture_duality_bag", "generate_family", "generate_star",
+                 "open_mindedness_bound"),
+}
+_SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups do not come back here
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

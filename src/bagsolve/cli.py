@@ -8,8 +8,21 @@ parse, or configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# bagsolve makes no BLAS call, yet OpenBLAS starts a worker thread per core
+# when numpy loads, and in a short solve process that idle thread costs more
+# CPU than the solve. OpenBLAS reads OPENBLAS_NUM_THREADS once, at load, so
+# unless numpy is loaded already or the caller chose a count, load it with
+# one thread and leave the environment as it was.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import analysis, continuous, discrete
 # topological_order is unused here but stays a name of this module, because
@@ -24,6 +37,10 @@ from .semantics import (
     SemanticsConfigError,
     SemanticsSpec,
 )
+
+
+# the most edges `generate` builds (about 180 B each while it builds them)
+MAX_GENERATED_EDGES = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,16 +151,22 @@ def cmd_generate(args) -> int:
     kind = args.kind
     params = args.params
     try:
-        if kind == "family":
-            k, va, vb = int(params[0]), float(params[1]), float(params[2])
-            bag = analysis.generate_family(k, va, vb)
-        elif kind == "star":
-            k, wc, wl = int(params[0]), float(params[1]), float(params[2])
-            bag = analysis.generate_star(k, wc, wl)
-        else:  # duality-fixture
+        if kind == "duality-fixture":
             if params:
                 raise ValueError("duality-fixture takes no parameters")
             bag = analysis.fixture_duality_bag()
+        else:
+            k, w1, w2 = int(params[0]), float(params[1]), float(params[2])
+            # refused before any edge is built: a family of k = 10^8 would
+            # fill the memory with 4·10^16 edge tuples (the generators
+            # refuse k < 1 themselves)
+            edges = 4 * k * k if kind == "family" else k
+            if k > 0 and edges > MAX_GENERATED_EDGES:
+                raise ValueError(f"{edges} edges, more than the cap of "
+                                 f"{MAX_GENERATED_EDGES}")
+            generate = (analysis.generate_family if kind == "family"
+                        else analysis.generate_star)
+            bag = generate(k, w1, w2)
     except (IndexError, ValueError) as exc:
         print(f"generate {kind}: bad parameters {params}: {exc}", file=sys.stderr)
         return 1
@@ -234,7 +257,9 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("generate", help="emit benchmark BAG files")
     p_gen.add_argument("kind", choices=("family", "star", "duality-fixture"))
     p_gen.add_argument("params", nargs="*",
-                       help="family: K VA VB; star: K W_CENTER W_LEAF")
+                       help="family: K VA VB (4*K^2 edges); star: K W_CENTER "
+                            f"W_LEAF (K edges); at most {MAX_GENERATED_EDGES:,} "
+                            "edges")
     p_gen.add_argument("--output", metavar="PATH",
                        help="write here instead of stdout")
     p_gen.set_defaults(func=cmd_generate)

@@ -1,6 +1,10 @@
 """Shared strategies and builders for the test suite."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 from hypothesis import settings, strategies as st
 
@@ -75,3 +79,13 @@ def random_bag(rng: np.random.Generator, n_max: int = 10,
             else:
                 supports.add(pair)
     return Bag(names, weights, attacks, supports)
+
+
+def fresh_python(code: str, **env: str) -> str:
+    """Run ``code`` in a new interpreter, without OPENBLAS_NUM_THREADS but
+    with ``env``; return its stdout."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

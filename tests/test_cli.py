@@ -1,13 +1,16 @@
 import hashlib
+import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bagsolve import MODES, cli, generate_family, parse_bag, serialize_bag
 from bagsolve.analysis import fixture_duality_bag, generate_star
+from conftest import fresh_python
 
 
 @pytest.fixture
@@ -426,6 +429,28 @@ class TestGenerate:
         assert cli.main(["generate", "family", "1", "0.9"]) == 1
         assert cli.main(["generate", "duality-fixture", "3"]) == 1
 
+    @pytest.mark.parametrize("kind, k, edges", [
+        ("family", "100000000", 4 * 10**16), ("star", "1000001", 1000001)])
+    def test_too_many_edges_is_refused_before_building(
+            self, kind, k, edges, monkeypatch, capsys):
+        def build(*args):
+            raise AssertionError("the graph was built")
+        monkeypatch.setattr(cli.analysis, f"generate_{kind}", build)
+        assert cli.main(["generate", kind, k, "0.9", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"generate {kind}: bad parameters {[k, '0.9', '0.1']}: {edges} "
+            f"edges, more than the cap of {cli.MAX_GENERATED_EDGES}\n")
+        assert captured.out == ""
+
+    def test_family_at_the_edge_cap(self, tmp_path):
+        target = tmp_path / "f.bag"
+        assert cli.main(["generate", "family", "500", "0.9", "0.1",
+                         "--output", str(target)]) == 0
+        text = target.read_text()
+        assert text.count("att(") + text.count("sup(") == 4 * 500**2
+        assert 4 * 500**2 == cli.MAX_GENERATED_EDGES
+
 
 class TestCheck:
     def test_duality_euler_fails(self, capsys):
@@ -510,3 +535,45 @@ class TestEntryPoint:
             [sys.executable, "-m", "bagsolve.cli", "solve"],
             capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+LINUX = sys.platform.startswith("linux")
+# the threads OpenBLAS starts by default: one per CPU this process may use
+CPUS = len(os.sched_getaffinity(0)) if LINUX else os.cpu_count() or 1
+OPENBLAS = "openblas" in str(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]).lower()
+
+
+class TestStartupEnvironment:
+    """The CLI loads numpy with a one-thread OpenBLAS, and leaves os.environ
+    as the caller set it."""
+
+    THREADS = "len(os.listdir('/proc/self/task'))"
+
+    def test_environment_is_restored(self):
+        out = fresh_python("import os, bagsolve.cli\n"
+                           "print('OPENBLAS_NUM_THREADS' in os.environ)")
+        assert out == "False\n"
+
+    @pytest.mark.skipif(not LINUX, reason="counts threads in /proc")
+    def test_one_thread(self):
+        out = fresh_python(f"import os, bagsolve.cli\nprint({self.THREADS})")
+        assert out == "1\n"
+
+    @pytest.mark.skipif(not LINUX, reason="counts threads in /proc")
+    @pytest.mark.skipif(not OPENBLAS or CPUS < 2,
+                        reason="needs numpy on OpenBLAS and two CPUs")
+    def test_callers_thread_count_wins(self):
+        out = fresh_python(
+            "import os, bagsolve.cli\n"
+            f"print(os.environ['OPENBLAS_NUM_THREADS'], {self.THREADS})",
+            OPENBLAS_NUM_THREADS="2")
+        assert out == "2 2\n"
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        out = fresh_python(
+            "import os, numpy\n"
+            "before = dict(os.environ)\n"
+            "import bagsolve.cli\n"
+            "print(dict(os.environ) == before)")
+        assert out == "True\n"
