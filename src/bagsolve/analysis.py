@@ -48,13 +48,10 @@ def generate_family(k: int, va: float, vb: float) -> Bag:
         raise ValueError(f"k must be >= 1, got {k}")
     names = [f"a{i + 1}" for i in range(k)] + [f"b{i + 1}" for i in range(k)]
     weights = [va] * k + [vb] * k
-    a_idx = range(k)
-    b_idx = range(k, 2 * k)
-    attacks = {(i, j) for i in a_idx for j in a_idx}
-    attacks |= {(i, j) for i in b_idx for j in b_idx}
-    supports = {(i, j) for i in a_idx for j in b_idx}
-    supports |= {(i, j) for i in b_idx for j in a_idx}
-    return Bag(names, weights, attacks, supports)
+    every = np.arange(2 * k)
+    pairs = np.stack((np.repeat(every, 2 * k), np.tile(every, 2 * k)), axis=1)
+    inside = (pairs[:, 0] < k) == (pairs[:, 1] < k)  # within one group
+    return Bag(names, weights, pairs[inside], pairs[~inside])
 
 
 def generate_star(k: int, w_center: float, w_leaf: float) -> Bag:
@@ -63,7 +60,8 @@ def generate_star(k: int, w_center: float, w_leaf: float) -> Bag:
         raise ValueError(f"k must be >= 1, got {k}")
     names = ["a"] + [f"b{i + 1}" for i in range(k)]
     weights = [w_center] + [w_leaf] * k
-    attacks = {(i, 0) for i in range(1, k + 1)}
+    leaves = np.arange(1, k + 1)
+    attacks = np.stack((leaves, np.zeros_like(leaves)), axis=1)
     return Bag(names, weights, attacks, supports=())
 
 

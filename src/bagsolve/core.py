@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import (Any, Callable, Iterable, NamedTuple, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
@@ -41,17 +42,22 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
-def _edge_codes(edges: Iterable[Edge], n: int, label: str) -> np.ndarray:
+def _edge_codes(edges: Union[Iterable[Edge], np.ndarray], n: int,
+                label: str) -> np.ndarray:
     # target * n + source for every distinct pair, sorted by (target, source)
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-    if flat.size % 2:
+    if isinstance(edges, np.ndarray):  # an integer array is taken whole
+        pairs = edges if edges.dtype.kind in "iu" else None
+    else:
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+        pairs = flat.reshape(-1, 2) if flat.size % 2 == 0 else None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise BagValidationError(f"{label} edges must be (source, target) pairs")
-    pairs = flat.reshape(-1, 2)
     outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if outside.size:
         u, v = pairs[outside[0]].tolist()
         raise BagValidationError(
             f"{label} edge ({u},{v}) references a missing argument")
+    pairs = pairs.astype(np.int64, copy=False)  # in range, so no wrap
     return _distinct(pairs[:, 1] * n + pairs[:, 0])
 
 
@@ -91,9 +97,11 @@ class Bag:
     weights:
         Initial weight per argument, each in [0, 1].
     attacks, supports:
-        (source, target) index pairs. Duplicates collapse; the same ordered
-        pair may not appear in both relations because a parent is either an
-        attacker or a supporter, never both.
+        (source, target) index pairs: an iterable of pairs, or a (k, 2)
+        integer ndarray, which is read as a whole instead of pair by pair.
+        Duplicates collapse; the same ordered pair may not appear in both
+        relations because a parent is either an attacker or a supporter,
+        never both.
 
     The edges are kept only as the read-only CSR arrays ``indptr``, ``src``
     and ``sign`` (see the module docstring); ``attacks``, ``supports``, the
@@ -108,8 +116,8 @@ class Bag:
         self,
         names: Sequence[str],
         weights: Sequence[float],
-        attacks: Iterable[Edge] = (),
-        supports: Iterable[Edge] = (),
+        attacks: Union[Iterable[Edge], np.ndarray] = (),
+        supports: Union[Iterable[Edge], np.ndarray] = (),
     ):
         names = tuple(names)
         if len(set(names)) != len(names):

@@ -18,8 +18,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -41,12 +42,17 @@ _NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # It also ends before a line break when the next line starts with arg(,
 # att( or sup(, so a missing period does not swallow the next statement.
 # That lookahead stops at the next line break: the scan stays linear.
+_STATEMENT_LINE = r"[ \t]*(?:arg|att|sup)\("  # at a line start: a statement
 _STATEMENT_RE = re.compile(
     rf"arg\s*\(\s*({_NAME})\s*,\s*({_NUMBER})\s*\)\s*\."
     rf"|att\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
     rf"|sup\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
-    r"|(?=\S)(?:[^.\n]|\.(?=\d)|\n(?![ \t]*(?:arg|att|sup)\())*\.?")
+    rf"|(?=\S)(?:[^.\n]|\.(?=\d)|\n(?!{_STATEMENT_LINE}))*\.?")
 _COMMENT_RE = re.compile(r"#[^\n]*|//[^\n]*")
+# parse_bag reads the text in chunks of about this many characters: small
+# enough that one chunk's strings are a small share of a solve's memory
+CHUNK = 16_384
+_CUT_RE = re.compile(rf"\n(?={_STATEMENT_LINE})")
 
 
 @dataclass
@@ -77,8 +83,13 @@ def _blank_comments(text: str) -> str:
 def parse_bag(source: Union[str, IO[str]]) -> Bag:
     """Parse BAG text into a validated Bag.
 
-    A leading byte-order mark is ignored. Raises BagParseError carrying one
-    line/column-anchored diagnostic per problem found; parsing continues
+    A leading byte-order mark is ignored. The text is read in chunks of
+    about ``CHUNK`` characters, each cut before a line that starts with a
+    statement (statements that share one long line stay in one chunk).
+    Each chunk's names become integer indices before the next chunk is
+    read, so only about one chunk's strings are alive at a time, and the
+    edges reach ``Bag`` as (k, 2) index arrays. Raises BagParseError carrying
+    one line/column-anchored diagnostic per problem found; parsing continues
     past errors so several can be reported at once.
     """
     text = source if isinstance(source, str) else source.read()
@@ -86,24 +97,76 @@ def parse_bag(source: Union[str, IO[str]]) -> Bag:
         text = text[1:]
     if "#" in text or "//" in text:
         text = _blank_comments(text)
-    # split() lists the blanks before each statement, then its six groups
-    # (None if unmatched): one list of strings, not a tuple per statement
-    parts = _STATEMENT_RE.split(text)
+    ids = _Ids()
     stride = _STATEMENT_RE.groups + 1
-    statements = len(parts) // stride
-    names, weight_texts, att_src, att_dst, sup_src, sup_dst = (
-        list(filter(None, parts[i::stride])) for i in range(1, stride))
-    del parts  # freed before Bag allocates its arrays: a lower peak
-    weights = list(map(float, weight_texts))
-    if len(names) + len(att_src) + len(sup_src) == statements:  # none malformed
-        get = dict(zip(names, range(len(names)))).__getitem__
+    names: list[str] = []
+    weights, declared, attacks, supports = [], [], [], []
+    for chunk in _chunks(text):
+        # split() lists the blanks before each statement, then its six
+        # groups (None if unmatched): one list of strings, not a tuple per
+        # statement
+        parts = _STATEMENT_RE.split(chunk)
+        decl, weight_texts, att_src, att_dst, sup_src, sup_dst = (
+            list(filter(None, parts[i::stride])) for i in range(1, stride))
+        if len(decl) + len(att_src) + len(sup_src) != len(parts) // stride:
+            raise BagParseError(_diagnose(text))  # a malformed statement
+        names += decl
+        weights.append(np.fromiter(map(float, weight_texts), float,
+                                   len(weight_texts)))
+        declared.append(ids.declare(decl))
+        attacks.append(ids.refer(att_src, att_dst))
+        supports.append(ids.refer(sup_src, sup_dst))
+    # provisional id -> declaration order; -1 for a name never declared
+    index = np.full(next(ids.counter), -1, dtype=np.intp)
+    del ids  # names holds the strings: the table is not needed in Bag
+    index[np.concatenate(declared)] = np.arange(len(names))
+    # (k, 2) argument indices, as views of (2, k) arrays
+    attacks = index[np.concatenate(attacks, axis=1)].T
+    supports = index[np.concatenate(supports, axis=1)].T
+    if min(attacks.min(initial=0), supports.min(initial=0)) >= 0:  # declared
         try:
-            attacks = zip(list(map(get, att_src)), list(map(get, att_dst)))
-            supports = zip(list(map(get, sup_src)), list(map(get, sup_dst)))
-            return Bag(names, weights, attacks, supports)
-        except (KeyError, BagValidationError):
-            pass  # an undeclared name, or Bag refused the graph
+            return Bag(names, np.concatenate(weights), attacks, supports)
+        except BagValidationError:
+            pass  # Bag refused the graph
     raise BagParseError(_diagnose(text))
+
+
+class _Ids(dict):
+    # name -> provisional id, each id drawn once from one counter: by
+    # setdefault for a declaration (no Python call per name), and on first
+    # sight for a name that an edge references before its declaration
+    def __init__(self) -> None:
+        super().__init__()
+        self.counter = count()
+
+    def __missing__(self, name: str) -> int:
+        self[name] = i = next(self.counter)
+        return i
+
+    def declare(self, names: list[str]) -> np.ndarray:
+        return np.fromiter(map(self.setdefault, names, self.counter),
+                           np.intp, len(names))
+
+    def refer(self, sources: list[str], targets: list[str]) -> np.ndarray:
+        # (2, k) ids: the edges sources[j] -> targets[j], as columns
+        ends = sources + targets
+        return np.fromiter(map(self.__getitem__, ends), np.intp,
+                           len(ends)).reshape(2, -1)
+
+
+def _chunks(text: str) -> Iterator[str]:
+    # Pieces of text, each cut at the first line break from CHUNK characters
+    # on that starts a statement line. _STATEMENT_RE stops a malformed
+    # statement before such a break and no valid statement holds one, so
+    # the pieces split into the same statements as the whole text.
+    start = 0
+    while True:
+        cut = _CUT_RE.search(text, start + CHUNK)
+        if cut is None:
+            yield text[start:]
+            return
+        yield text[start:cut.start()]
+        start = cut.start()
 
 
 def _diagnose(text: str) -> list[ParseDiagnostic]:

@@ -7,6 +7,9 @@ first, then attackers, each in index order, which is the order the kernel
 folds in. So the aggregations agree with the kernel bit for bit (up to the
 sign of a zero sum), while ``euler`` and ``pmax`` may differ by round-off,
 since ``math.exp`` and ``**`` are not numpy's ``exp`` and ``power``.
+
+The benchmark generators are here too, written with sets of edge tuples,
+as the library wrote them before it built their edges as arrays.
 """
 from __future__ import annotations
 
@@ -208,3 +211,27 @@ def check(prop: str, part: str, spec: SemanticsSpec, trials: int,
         if not ok:
             return False, t + 1, example
     return True, trials, None
+
+
+# ---------------------------------------------------------------------------
+# generators, built from sets of (source, target) tuples
+
+def generate_family(k: int, va: float, vb: float) -> Bag:
+    """``bagsolve.generate_family``, one edge tuple at a time."""
+    names = [f"a{i + 1}" for i in range(k)] + [f"b{i + 1}" for i in range(k)]
+    weights = [va] * k + [vb] * k
+    a_idx = range(k)
+    b_idx = range(k, 2 * k)
+    attacks = {(i, j) for i in a_idx for j in a_idx}
+    attacks |= {(i, j) for i in b_idx for j in b_idx}
+    supports = {(i, j) for i in a_idx for j in b_idx}
+    supports |= {(i, j) for i in b_idx for j in a_idx}
+    return Bag(names, weights, attacks, supports)
+
+
+def generate_star(k: int, w_center: float, w_leaf: float) -> Bag:
+    """``bagsolve.generate_star``, one edge tuple at a time."""
+    names = ["a"] + [f"b{i + 1}" for i in range(k)]
+    weights = [w_center] + [w_leaf] * k
+    attacks = {(i, 0) for i in range(1, k + 1)}
+    return Bag(names, weights, attacks, supports=())

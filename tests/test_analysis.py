@@ -62,6 +62,11 @@ class TestGenerateFamily:
         with pytest.raises(ValueError):
             generate_family(0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("k", [1, 3, 50, 200])
+    def test_equals_the_tuple_built_family(self, k):
+        assert generate_family(k, 0.9, 0.1) == reference.generate_family(
+            k, 0.9, 0.1)
+
 
 class TestGenerateStar:
     def test_smallest_star(self):
@@ -75,6 +80,11 @@ class TestGenerateStar:
         bag = generate_star(k, 0.9, 0.9)
         assert bag.indegree(0) == k
         assert all(bag.indegree(i) == 0 for i in range(1, k + 1))
+
+    @pytest.mark.parametrize("k", [1, 3, 50, 200])
+    def test_equals_the_tuple_built_star(self, k):
+        assert generate_star(k, 0.9, 0.2) == reference.generate_star(
+            k, 0.9, 0.2)
 
 
 class TestDualityFixture:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from bagsolve import (
     Bag,
@@ -279,3 +279,69 @@ class TestRepresentation:
     def test_nan_weight_rejected(self):
         with pytest.raises(BagValidationError, match="outside"):
             Bag(["a", "b"], [0.5, float("nan")])
+
+
+def built(attacks, supports, n=3):
+    """The Bag on n arguments, or the message of the BagValidationError."""
+    try:
+        return Bag([f"n{i}" for i in range(n)], [0.5] * n, attacks, supports)
+    except BagValidationError as err:
+        return str(err)
+
+
+class TestArrayEdges:
+    """A (k, 2) integer array is read whole, with the checks and messages
+    of the pairs it holds."""
+
+    @given(st.data())
+    def test_arrays_give_the_bag_of_the_pairs(self, data):
+        # duplicates and self-loops are drawn; a pair in both relations
+        # gives the same collision message either way
+        n = data.draw(st.integers(1, 6))
+        pairs = st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=12)
+        attacks, supports = data.draw(pairs), data.draw(pairs)
+        dtype = data.draw(st.sampled_from(
+            [np.int64, np.intp, np.int32, np.uint16]))
+        as_array = [np.array(e, dtype=dtype).reshape(-1, 2)
+                    for e in (attacks, supports)]
+        assert built(*as_array, n=n) == built(attacks, supports, n=n)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.intp])
+    def test_empty_arrays(self, dtype):
+        empty = np.empty((0, 2), dtype=dtype)
+        assert built(empty, empty) == built((), ())
+        assert built(empty, [(0, 1)]) == built((), [(0, 1)])
+
+    def test_duplicates_and_self_loops(self):
+        attacks = [(0, 0), (1, 2), (0, 0), (1, 2), (2, 2)]
+        supports = [(2, 1), (2, 1), (1, 1)]
+        bag = built(np.array(attacks, dtype=np.intp),
+                    np.array(supports, dtype=np.int64))
+        assert bag == built(attacks, supports)
+        assert bag.attacks == {(0, 0), (1, 2), (2, 2)}
+
+    @pytest.mark.parametrize("edges", [
+        np.zeros((1, 3), dtype=np.int64),
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros(4, dtype=np.int64),
+        np.array([[0.0, 1.0]]),
+        np.array([[0.5, 1.0]], dtype=np.float32),
+        np.array([[True, False]]),
+    ], ids=["1x3", "2x3", "flat", "float", "float32", "bool"])
+    def test_wrong_shape_or_dtype(self, edges):
+        message = built([(0, 1, 2)], ())  # the message of an odd pair list
+        assert message == "attack edges must be (source, target) pairs"
+        assert built(edges, ()) == message
+        assert built((), edges) == message.replace("attack", "support")
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -2), (3, 0), (1, 7)])
+    @pytest.mark.parametrize("dtype", [np.int64, np.intp, np.int8])
+    def test_indices_out_of_range(self, pair, dtype):
+        edges = [(0, 1), pair, (2, 2)]
+        message = (f"attack edge ({pair[0]},{pair[1]}) references a missing "
+                   f"argument")
+        assert built(edges, ()) == message
+        assert built(np.array(edges, dtype=dtype), ()) == message
+        assert built((), np.array(edges, dtype=dtype)) == message.replace(
+            "attack", "support")

@@ -1,5 +1,9 @@
 import io as stdio
+import random
+import re
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, strategies as st
 from conftest import bags
 from reference import parent_vector
 
+import bagsolve.io
 from bagsolve import (
     Bag,
     BagParseError,
@@ -360,6 +365,96 @@ def test_any_text_gives_a_bag_or_diagnostics(text):
                    for d in err.diagnostics)
     else:
         assert isinstance(bag, Bag)
+
+
+def outcome(text):
+    """The Bag parsed from text, or its diagnostics as (line, column,
+    message) triples."""
+    try:
+        return parse_bag(text)
+    except BagParseError as err:
+        return [(d.line, d.column, d.message) for d in err.diagnostics]
+
+
+def outcome_in_chunks(text, chunk):
+    with mock.patch.object(bagsolve.io, "CHUNK", chunk):
+        return outcome(text)
+
+
+# a name, a number (or the closing period), or punctuation
+TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9.+-][0-9.eE+-]*|[(),]")
+# blanks that may stand between two tokens of one statement
+SPLITS = st.sampled_from(["", " ", "\n", "\r\n", "\n\t", " \n  "])
+
+
+@st.composite
+def chunkable_texts(draw):
+    """Serialized bags in any statement order (so edges may come before
+    their declarations), statements spread over lines, blanks, comments,
+    CRLF, a byte-order mark, and junk from the fuzzer's pieces."""
+    statements = serialize_bag(draw(bags())).splitlines()
+    statements = draw(st.permutations(statements))
+    text = "\ufeff" if draw(st.booleans()) else ""
+    for statement in statements:
+        if draw(st.booleans()):
+            statement = "".join(token + draw(SPLITS)
+                                for token in TOKEN.findall(statement))
+        text += draw(FILLERS) + statement
+        if draw(st.integers(0, 7)) == 0:
+            text += draw(st.lists(PIECES, max_size=4).map("".join))
+    return text + draw(FILLERS)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@given(text=st.one_of(chunkable_texts(),
+                      st.lists(PIECES, max_size=30).map("".join)))
+def test_chunking_changes_nothing(chunk, text):
+    whole = outcome_in_chunks(text, len(text) + 1)
+    assert outcome_in_chunks(text, chunk) == whole
+
+
+class TestChunks:
+    @pytest.mark.parametrize("chunk", [1, 7, 18])
+    def test_malformed_statement_at_a_cut(self, chunk):
+        # the one cut is the line break before att(: the malformed
+        # statement ends the first chunk
+        text = "arg(a,0.5).\nfoo(a)\natt(a,a).\n"
+        with mock.patch.object(bagsolve.io, "CHUNK", chunk):
+            assert list(bagsolve.io._chunks(text)) == [
+                "arg(a,0.5).\nfoo(a)", "\natt(a,a).\n"]
+        assert outcome_in_chunks(text, chunk) == [
+            (2, 1, MALFORMED + "'foo(a)'")]
+
+    @pytest.mark.parametrize("key", [*PINNED_DIAGNOSTICS,
+                                     *ONE_MALFORMED_STATEMENT])
+    def test_pinned_diagnostics_in_one_character_chunks(self, key):
+        text, expected = {**PINNED_DIAGNOSTICS, **ONE_MALFORMED_STATEMENT}[key]
+        assert outcome_in_chunks(text, 1) == expected
+
+
+def random_text(n: int, edges: int, seed: int) -> str:
+    """n declarations, then ``edges`` random edges in the text format."""
+    rng = random.Random(seed)
+    lines = [f"arg(x{i},{rng.random()!r})." for i in range(n)]
+    for _ in range(edges):
+        u, v = rng.randrange(n), rng.randrange(n)
+        # the kind follows from the pair, so no pair is both kinds
+        lines.append(f"{'att' if (u + v) % 2 else 'sup'}(x{u},x{v}).")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_memory_is_bounded_by_the_text():
+    # One string per edge endpoint, all alive at once, took about 9 times
+    # the text on this input; one chunk's strings at a time take about 2.6.
+    text = random_text(10_000, 100_000, seed=7)
+    tracemalloc.start()
+    try:
+        bag = parse_bag(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bag.src.size == 99_947  # the 100,000 edges, duplicates collapsed
+    assert peak - kept < 4 * len(text)
 
 
 class TestTrajectoryCsv:
