@@ -29,7 +29,7 @@ _PUBLIC = {
     "discrete": ("ConvergenceCertificate", "CyclicGraphError", "certify",
                  "solve_acyclic"),
     "continuous": ("MODES", "integrate_euler", "integrate_rk4", "iterate",
-                   "rhs", "solve", "verify_fixed_point"),
+                   "solve", "verify_fixed_point"),
     "analysis": ("CheckReport", "OpenMindednessBound",
                  "check_duality_aggregation", "check_duality_influence",
                  "check_lipschitz_aggregation", "check_lipschitz_influence",

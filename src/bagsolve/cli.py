@@ -157,7 +157,8 @@ def cmd_generate(args) -> int:
                 raise ValueError("duality-fixture takes no parameters")
             bag = analysis.fixture_duality_bag()
         else:
-            k, w1, w2 = int(params[0]), float(params[1]), float(params[2])
+            k, w1, w2 = params  # exactly three, or a ValueError
+            k, w1, w2 = int(k), float(w1), float(w2)
             # refused before any edge is built: a family of k = 10^8 would
             # fill the memory with 4·10^16 edge tuples (the generators
             # refuse k < 1 themselves)
@@ -168,7 +169,7 @@ def cmd_generate(args) -> int:
             generate = (analysis.generate_family if kind == "family"
                         else analysis.generate_star)
             bag = generate(k, w1, w2)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         print(f"generate {kind}: bad parameters {params}: {exc}", file=sys.stderr)
         return 1
 

@@ -52,11 +52,6 @@ Advance = Callable[[np.ndarray, np.ndarray, int],
                    tuple[np.ndarray, int, Optional[np.ndarray]]]
 
 
-def rhs(bag: Bag, spec: SemanticsSpec, sigma: np.ndarray) -> np.ndarray:
-    """Time derivative of the continuized system at state ``sigma``."""
-    return update(bag, spec, sigma) - np.asarray(sigma, dtype=float)
-
-
 def verify_fixed_point(bag: Bag, spec: SemanticsSpec,
                        s: np.ndarray, tol: float) -> bool:
     """True when one update moves no coordinate of ``s`` by more than ``tol``."""
@@ -245,7 +240,7 @@ def integrate_rk4(
 
     def slope(state: np.ndarray, k: np.ndarray, h: float,
               out: np.ndarray) -> np.ndarray:
-        # out = rhs at clamp(state + h * k)
+        # out = update(x) - x at x = clamp(state + h * k)
         _clamp(np.add(state, np.multiply(k, h, out=x), out=x))
         return np.subtract(update(bag, spec, x), x, out=out)
 

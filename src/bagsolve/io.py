@@ -258,12 +258,12 @@ def _row_text(state: np.ndarray) -> str:
 def write_trajectory_csv(
     trajectory: Trajectory,
     names: Sequence[str],
-    sink: Union[str, Path, IO[str], IO[bytes]],
+    sink: Union[str, Path, IO[str]],
 ) -> None:
     """Write one CSV row per sampled state, preceded by a ``t,<names...>`` header.
 
     Values carry full round-trip precision. ``sink`` may be a path or an open
-    text/binary stream.
+    text stream.
     """
     if len(trajectory) == 0:
         raise ValueError("refusing to write an empty trajectory")
@@ -280,16 +280,8 @@ def write_trajectory_csv(
             row = _row_text(np.asarray(state, dtype=float))
             yield _format_time(t) + "," + row + "\n"
 
-    lines = rows()
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as out:
-            out.writelines(lines)
-        return
-    header = next(lines)
-    try:
-        sink.write(header)
-    except TypeError:
-        sink.write(header.encode("utf-8"))
-        sink.writelines(line.encode("utf-8") for line in lines)
+            out.writelines(rows())
     else:
-        sink.writelines(lines)
+        sink.writelines(rows())

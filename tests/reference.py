@@ -48,6 +48,17 @@ def parent_vector(bag: Bag, i: int) -> np.ndarray:
     return v
 
 
+def relations(bag: Bag) -> tuple[frozenset, frozenset]:
+    """The attacks and the supports of ``bag`` as sets of (source, target)
+    pairs, read row by row from its CSR arrays."""
+    attacks, supports = set(), set()
+    indptr, src, sign = (a.tolist() for a in (bag.indptr, bag.src, bag.sign))
+    for v in range(bag.n):
+        for k in range(indptr[v], indptr[v + 1]):
+            (attacks if sign[k] < 0 else supports).add((src[k], v))
+    return frozenset(attacks), frozenset(supports)
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

@@ -428,6 +428,14 @@ class TestGenerate:
     def test_bad_params(self, capsys):
         assert cli.main(["generate", "family", "1", "0.9"]) == 1
         assert cli.main(["generate", "duality-fixture", "3"]) == 1
+        for kind in ("family", "star"):
+            params = ["1", "0.9", "0.1", "junk"]
+            capsys.readouterr()
+            assert cli.main(["generate", kind, *params]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"generate {kind}: bad parameters {params}: ")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("kind, k, edges", [
         ("family", "100000000", 4 * 10**16), ("star", "1000001", 1000001)])

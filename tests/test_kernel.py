@@ -34,7 +34,7 @@ from bagsolve import (
 from bagsolve import core, semantics
 from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag, specs
 import reference
-from reference import aggregate, parent_vector
+from reference import aggregate, parent_vector, relations
 
 TOL = 1e-15
 PAIRS = [(agg, infl) for agg in AGG_KINDS for infl in INFL_KINDS]
@@ -570,7 +570,7 @@ class TestKernelCache:
         levels = random_levels(bag, np.random.default_rng(5))
         for one, other in pairs:
             for spec in (one, other, one, other):
-                fresh = Bag(bag.names, bag.weights, bag.attacks, bag.supports)
+                fresh = Bag(bag.names, bag.weights, *relations(bag))
                 assert_same_bits(update(bag, spec, s), update(fresh, spec, s))
                 assert_same_bits(update_levels(bag, spec, levels),
                                  update_levels(fresh, spec, levels))

@@ -211,8 +211,9 @@ class TestUpdate:
     @given(bags(), specs())
     def test_stability_for_parentless_arguments(self, bag, spec):
         out = update(bag, spec, bag.weights * 0.5)
+        indegree = np.diff(bag.indptr)
         for i in range(bag.n):
-            if bag.indegree(i) == 0:
+            if indegree[i] == 0:
                 assert out[i] == bag.weights[i]
 
     @given(bags(), specs(), st.lists(st.floats(0, 1, allow_nan=False),
@@ -264,7 +265,7 @@ class TestCodomainBound:
         v = parent_vector(bag, i)
         s = data.draw(st.lists(st.floats(0, 1, allow_nan=False),
                                min_size=bag.n, max_size=bag.n))
-        bound = codomain_bound(spec, bag.indegree(i))
+        bound = codomain_bound(spec, int(np.sum(np.abs(v))))
         assert abs(aggregate(spec, v, s)) <= bound + 1e-12
 
 
