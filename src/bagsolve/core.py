@@ -10,20 +10,11 @@ the parents of argument ``i`` are ``src[indptr[i]:indptr[i + 1]]``, and
 ``sign`` holds -1.0 for an attacker and +1.0 for a supporter. Within a row
 the supporters come first, then the attackers, each in ascending source
 order, so every kernel visits parents in one fixed order.
-
-The update kernel reads the same edges regrouped as indegree blocks: sets
-of arguments whose indegrees have the same bit length (1, 2-3, 4-7, ...),
-each padded to the largest such indegree d and holding a C-contiguous
-(d, m) array of codes that lists, column by column, the arguments' parents
-in CSR order with their signs folded in (see ``IndegreeBlock``). A
-reduction over axis 0 then folds every argument's parents one at a time,
-in that order.
 """
 from __future__ import annotations
 
 from collections import Counter
-from typing import (Any, Callable, Iterable, NamedTuple, Optional, Sequence,
-                    Union)
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,12 +32,13 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
-def _edge_codes(edges: Union[Iterable[Edge], np.ndarray], n: int,
-                label: str) -> np.ndarray:
-    # target * n + source for every distinct pair, sorted by (target, source).
-    # An array is taken whole. Pairs are zipped into two long columns first,
-    # which numpy reads in 2/3 of the time of as many short rows; the strict
-    # zip refuses ragged pairs.
+def _edge_keys(edges: Union[Iterable[Edge], np.ndarray], n: int,
+               label: str, is_attack: int) -> np.ndarray:
+    # The key (2 * target + is_attack) * max(n, 1) + source of every pair:
+    # sorted keys put each row's supporters, then its attackers, each by
+    # source. An array is taken whole. Pairs are zipped into two long
+    # columns first, which numpy reads in 2/3 of the time of as many short
+    # rows; the strict zip refuses ragged pairs.
     message = f"{label} edges must be (source, target) pairs"
     try:
         pairs = (edges if isinstance(edges, np.ndarray)
@@ -63,33 +55,8 @@ def _edge_codes(edges: Union[Iterable[Edge], np.ndarray], n: int,
         raise BagValidationError(
             f"{label} edge ({u},{v}) references a missing argument")
     pairs = pairs.astype(np.int64, copy=False)  # in range, so no wrap
-    return _distinct(pairs[:, 1] * n + pairs[:, 0])
-
-
-def _indegree_groups(degree: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    # (positions, indegree) of each block, positions ascending: arguments
-    # whose indegrees have the same bit length share a block, padded to the
-    # largest of them. So there are at most max(degree).bit_length() blocks,
-    # and every column is more than half parents: fewer than 2 x edges slots.
-    length = np.frexp(degree)[1]  # bit length; 0 for the parentless
-    groups = []
-    for b in range(1, int(length.max(initial=0)) + 1):
-        pos = np.flatnonzero(length == b)
-        if pos.size:
-            groups.append((pos, int(degree[pos].max())))
-    return groups
-
-
-class IndegreeBlock(NamedTuple):
-    """The arguments ``pos``, each with at most d >= 1 parents, and their
-    edges as a (d, len(pos)) array ``code``: row k of column j codes the
-    k-th parent (CSR order) of ``pos[j]``. A code indexes a table of
-    2n + 1 entries built from the n strengths: supporter p is coded p, an
-    attacker p is n + 1 + p, and n pads a column of fewer than d parents
-    (the kernel puts each fold's identity there)."""
-
-    pos: np.ndarray
-    code: np.ndarray
+    # n is max(n, 1) here: a pair in range needs an argument
+    return (pairs[:, 1] * 2 + is_attack) * n + pairs[:, 0]
 
 
 class Bag:
@@ -109,12 +76,11 @@ class Bag:
         never both.
 
     The edges are kept only as the read-only CSR arrays ``indptr``, ``src``
-    and ``sign`` (see the module docstring); ``targets()`` and the indegree
-    ``blocks`` are computed from them.
+    and ``sign`` (see the module docstring); ``targets()`` is computed from
+    them.
     """
 
-    __slots__ = ("names", "weights", "indptr", "src", "sign", "_blocks",
-                 "_memo")
+    __slots__ = ("names", "weights", "indptr", "src", "sign", "_memo")
 
     def __init__(
         self,
@@ -140,26 +106,26 @@ class Bag:
             )
 
         n = len(names)
-        attack_codes = _edge_codes(attacks, n, "attack")
-        support_codes = _edge_codes(supports, n, "support")
-        collisions = np.intersect1d(attack_codes, support_codes,
-                                    assume_unique=True)
-        if collisions.size:
-            pretty = sorted((names[c % n], names[c // n])
-                            for c in collisions.tolist())
+        m = max(n, 1)
+        keys = _distinct(np.concatenate([
+            _edge_keys(attacks, n, "attack", 1),
+            _edge_keys(supports, n, "support", 0)]))
+        attack = keys % (2 * m) >= m  # key // m = 2 * target + 1 is odd
+        # attack (u, v) collides with support (u, v) exactly when its key
+        # minus m, the support's key, is a key too
+        probe = keys[attack] - m
+        shared = probe[keys[np.searchsorted(keys, probe)] == probe]
+        if shared.size:
+            pretty = sorted((names[c % m], names[c // (2 * m)])
+                            for c in shared.tolist())
             raise BagValidationError(
                 f"edges declared as both attack and support: {pretty}"
             )
-
-        # A stable sort by target keeps the supporters (listed first) ahead
-        # of the attackers in each row, and each group in source order.
-        codes = np.concatenate([support_codes, attack_codes])
-        order = np.argsort(codes // max(n, 1), kind="stable")
-        tgt, src = np.divmod(codes[order], max(n, 1))
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(tgt, minlength=n), out=indptr[1:])
-        src = src.astype(np.intp, copy=False)
-        sign = np.where(order < support_codes.size, 1.0, -1.0)
+        del probe  # freed before src and sign are built
+        # the keys below 2 * i * m are those of the rows before i
+        indptr = np.searchsorted(keys, np.arange(n + 1) * (2 * m))
+        src = (keys % m).astype(np.intp, copy=False)
+        sign = np.where(attack, -1.0, 1.0)
 
         for arr in (weight_arr, indptr, src, sign):
             arr.setflags(write=False)
@@ -168,8 +134,7 @@ class Bag:
         self.indptr = indptr
         self.src = src
         self.sign = sign
-        self._blocks = None
-        self._memo = None
+        self._memo = {}
 
     @property
     def n(self) -> int:
@@ -185,34 +150,14 @@ class Bag:
         """Target of every edge, aligned with ``src`` and ``sign``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    @property
-    def blocks(self) -> tuple[IndegreeBlock, ...]:
-        """Indegree blocks of all arguments, built on first use and kept."""
-        if self._blocks is None:
-            starts = self.indptr[:-1]
-            degree = np.diff(self.indptr)
-            blocks = []
-            for pos, d in _indegree_groups(degree):
-                k_th = np.arange(d)[:, None]
-                slots = k_th + starts[pos]
-                live = k_th < degree[pos]
-                slots[~live] = 0
-                at = self.src[slots]
-                code = np.where(self.sign[slots] < 0.0, at + (self.n + 1), at)
-                code[~live] = self.n
-                for arr in (pos, code):
-                    arr.setflags(write=False)
-                blocks.append(IndegreeBlock(pos, code))
-            self._blocks = tuple(blocks)
-        return self._blocks
-
-    def memo(self, key: Any, build: Callable[["Bag", Any], Any]) -> Any:
-        """``build(self, key)``, kept until a call with another key: the
-        update kernel's constants for one semantics. One entry bounds the
-        memory of a sweep over many; it is replaced, never changed."""
-        entry = self._memo
+    def memo(self, build: Callable[["Bag", Any], Any], key: Any = None) -> Any:
+        """``build(self, key)``, kept until a call with the same ``build``
+        and another key: the update kernel's encoding of the edges, and its
+        constants for one semantics. One entry per ``build`` bounds the
+        memory of a sweep over many keys; it is replaced, never changed."""
+        entry = self._memo.get(build)
         if entry is None or (entry[0] is not key and entry[0] != key):
-            entry = self._memo = (key, build(self, key))
+            entry = self._memo[build] = (key, build(self, key))
         return entry[1]
 
     def __eq__(self, other: object) -> bool:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, filterfalse
 from pathlib import Path
 from typing import IO, Iterator, Sequence, Union
 
@@ -49,6 +49,7 @@ _STATEMENT_RE = re.compile(
     rf"|sup\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)\s*\."
     rf"|(?=\S)(?:[^.\n]|\.(?=\d)|\n(?!{_STATEMENT_LINE}))*\.?")
 _COMMENT_RE = re.compile(r"#[^\n]*|//[^\n]*")
+_NAME_RE = re.compile(_NAME)
 # parse_bag reads the text in chunks of about this many characters: small
 # enough that one chunk's strings are a small share of a solve's memory
 CHUNK = 16_384
@@ -221,13 +222,23 @@ def _diagnose(text: str) -> list[ParseDiagnostic]:
     return diagnostics
 
 
+def _check_names(names: Sequence[str]) -> None:
+    # Written verbatim, a name outside the format's name syntax would give
+    # text that reads back as another graph, or not at all
+    bad = next(filterfalse(_NAME_RE.fullmatch, names), None)
+    if bad is not None:
+        raise ValueError(f"argument name {bad!r} does not match {_NAME}")
+
+
 def serialize_bag(bag: Bag) -> str:
     """Render a Bag in the text format; parse_bag(serialize_bag(b)) == b.
 
     Weights use Python's shortest round-trip representation, so full double
-    precision survives the trip.
+    precision survives the trip. A name outside ``[A-Za-z_][A-Za-z0-9_]*``
+    raises ValueError before anything is rendered.
     """
     names = bag.names
+    _check_names(names)
     lines = [f"arg({name},{w!r})." for name, w in zip(names, bag.weights.tolist())]
     targets = bag.targets()
     for kind, sign in (("att", -1.0), ("sup", 1.0)):
@@ -263,10 +274,12 @@ def write_trajectory_csv(
     """Write one CSV row per sampled state, preceded by a ``t,<names...>`` header.
 
     Values carry full round-trip precision. ``sink`` may be a path or an open
-    text stream.
+    text stream. A name outside ``[A-Za-z_][A-Za-z0-9_]*`` raises ValueError
+    before anything is written.
     """
     if len(trajectory) == 0:
         raise ValueError("refusing to write an empty trajectory")
+    _check_names(names)
     width = len(names)
     for state in trajectory.states:
         if len(state) != width:

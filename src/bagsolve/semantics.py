@@ -66,8 +66,15 @@ class SemanticsSpec:
             )
         if self.influence in (LINEAR, PMAX) and not self.kappa > 0:
             raise SemanticsConfigError(f"kappa must be positive, got {self.kappa}")
-        if self.influence == PMAX and (self.p < 1 or self.p != int(self.p)):
-            raise SemanticsConfigError(f"p must be a positive integer, got {self.p}")
+        if self.influence == PMAX:
+            try:
+                p = self.p * 1.0  # float() would also read a string
+            except OverflowError:  # an integer past float range
+                raise SemanticsConfigError(
+                    "p must be a positive integer within float range") from None
+            if not (p >= 1.0 and p.is_integer()):
+                raise SemanticsConfigError(
+                    f"p must be a positive integer, got {self.p}")
 
 
 def dfq(kappa: float = 1.0) -> SemanticsSpec:
@@ -124,23 +131,52 @@ def _influence_constants(spec: SemanticsSpec,
     return (w,)
 
 
+def _indegree_blocks(bag: Bag, _: None) -> tuple[tuple[np.ndarray, ...], ...]:
+    # The edges as (pos, code) blocks, built once per Bag (``bag.memo``).
+    # Arguments whose indegrees have the same bit length share a block,
+    # positions ascending, padded to the largest indegree d among them: so
+    # there are at most max_indegree.bit_length() blocks, and as every
+    # column is more than half parents, fewer than 2 x edges slots. Row k of
+    # the C-contiguous (d, len(pos)) array ``code`` codes the k-th parent
+    # (CSR order) of each argument in an index into the tables of 2n + 1
+    # entries (see _tables): supporter p is p, attacker p is n + 1 + p, and
+    # n pads a column of fewer than d parents.
+    n, starts, degree = bag.n, bag.indptr[:-1], np.diff(bag.indptr)
+    length = np.frexp(degree)[1]  # bit length; 0 for the parentless
+    blocks = []
+    for b in range(1, int(length.max(initial=0)) + 1):
+        pos = np.flatnonzero(length == b)
+        if not pos.size:
+            continue
+        k_th = np.arange(degree[pos].max())[:, None]
+        slots = k_th + starts[pos]
+        live = k_th < degree[pos]
+        slots[~live] = 0
+        at = bag.src[slots]
+        code = np.where(bag.sign[slots] < 0.0, at + (n + 1), at)
+        code[~live] = n
+        for arr in (pos, code):
+            arr.setflags(write=False)
+        blocks.append((pos, code))
+    return tuple(blocks)
+
+
 def _build_kernel(bag: Bag, spec: SemanticsSpec):
     # What update needs of (bag, spec) but the strengths, all read-only:
-    # the blocks (see _paired), whether one holds every argument in order,
-    # the tables' identity entries and the influence's constants
-    blocks = tuple(_paired(pos, code) for pos, code in bag.blocks)
-    whole = len(blocks) == 1 and np.array_equal(blocks[0][0],
-                                                np.arange(bag.n))
+    # the blocks (see _paired), the tables' identity entries and the
+    # influence's constants
+    blocks = tuple(_paired(pos, code)
+                   for pos, code in bag.memo(_indegree_blocks))
     pad = _identity_pad(spec.aggregation, bag.n)
     consts = _influence_constants(spec, bag.weights)
     for arr in (pad, *consts, *(x for block in blocks for x in block)):
         arr.setflags(write=False)
-    return blocks, whole, pad, consts
+    return blocks, pad, consts
 
 
 def _tables(kind: str, x: np.ndarray,
             pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The supporter and attacker tables that the codes of ``Bag.blocks``
+    # The supporter and attacker tables that the codes of _indegree_blocks
     # index, for the strengths x: [x | 0 | -x] for the sum (one table serves
     # both sides; adding -x subtracts x exactly); for product and top one
     # table per side, whose other half and padding hold the fold's identity
@@ -210,8 +246,8 @@ def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
     the same length; only coordinates with nonzero entries are read, and
     the result is 0 whenever ``v`` is all zero. Given (m, n) arrays, one
     parent vector and one state per row, it returns the m aggregates. Each
-    row is folded as ``update`` folds a column of ``Bag.blocks``: its
-    supporters, then its attackers, each by index, then the padding.
+    row is folded as ``update`` folds an argument: its supporters, then its
+    attackers, each by index, then the padding.
     """
     rows = np.atleast_2d(v)
     x = np.asarray(s, dtype=float).reshape(rows.size)
@@ -247,16 +283,18 @@ def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
 
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
-    """One synchronous update: every argument recomputed from the old state."""
+    """One synchronous update: every argument recomputed from the old state
+    ``s``, one strength per argument (another shape raises ValueError)."""
+    x = np.asarray(s, dtype=float)
+    if x.shape != (bag.n,):
+        raise ValueError(
+            f"expected a state of {bag.n} strengths, got shape {x.shape}")
     kind = spec.aggregation
-    blocks, whole, pad, consts = bag.memo(spec, _build_kernel)
-    tables = _tables(kind, np.asarray(s, dtype=float), pad)
-    if whole:
-        a = _fold(kind, *tables, blocks[0][1])
-    else:
-        a = np.zeros(bag.n)  # parentless arguments aggregate to 0
-        for pos, code in blocks:
-            a[pos] = _fold(kind, *tables, code)
+    blocks, pad, consts = bag.memo(_build_kernel, spec)
+    tables = _tables(kind, x, pad)
+    a = np.zeros(bag.n)  # parentless arguments aggregate to 0
+    for pos, code in blocks:
+        a[pos] = _fold(kind, *tables, code)
     del tables  # freed before the influence allocates its temporaries
     return _influence(spec, consts, a)
 
@@ -268,19 +306,19 @@ def update_levels(bag: Bag, spec: SemanticsSpec,
 
     Each level is recomputed at once from the strengths the levels before
     it left, so over ``topological_levels`` this is the exact acyclic
-    evaluation. The columns of each block of ``bag.blocks`` are ordered by
-    level once; a level then costs a few numpy calls per block it has
-    arguments in, plus O(its arguments and their parents).
+    evaluation. The columns of each of the kernel's cached indegree blocks
+    are ordered by level once; a level then costs a few numpy calls per
+    block it has arguments in, plus O(its arguments and their parents).
     """
     kind = spec.aggregation
-    _, _, pad, consts = bag.memo(spec, _build_kernel)
+    _, pad, consts = bag.memo(_build_kernel, spec)
     values = bag.weights.copy()
     count = len(levels)
     level = np.full(bag.n, count, dtype=np.min_scalar_type(count))
     for j, rows in enumerate(levels):
         level[rows] = j
     plan = []  # per block: positions and codes by level, and level bounds
-    for pos, code in bag.blocks:
+    for pos, code in bag.memo(_indegree_blocks):
         order = np.argsort(level[pos], kind="stable")
         ends = np.searchsorted(level[pos][order], np.arange(count + 1))
         plan.append((pos[order], code[:, order], ends.tolist()))

@@ -278,6 +278,21 @@ class TestBadInput:
         assert proc.returncode == 2
         assert "outcome: budget-exhausted" in proc.stdout
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "BAG"], ["certify", "BAG"], ["check", "lipschitz"],
+        ["check", "open-mindedness", "BAG"]])
+    def test_p_past_float_range(self, duality_file, command):
+        # int() reads the 401 digits; a float cannot hold them
+        argv = [duality_file if a == "BAG" else a for a in command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bagsolve.cli", *argv, "--semantics",
+             "custom", "--aggregation", "sum", "--influence", "pmax",
+             "--p", "1" + "0" * 400],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: p must be a positive integer")
+        assert "Traceback" not in proc.stderr
+
 
 class TestSubnormalKappa:
     """A subnormal kappa makes w / kappa and a / kappa overflow to inf on

@@ -214,6 +214,23 @@ class TestValidation:
         with pytest.raises(BagValidationError):
             Bag(["a"], [0.5], attacks={(0, 0)}, supports={(0, 0)})
 
+    @given(st.data())
+    def test_every_shared_pair_is_named(self, data):
+        # several pairs in both relations, anywhere in their rows, among
+        # pairs in one relation only; names not in index order
+        n = data.draw(st.integers(1, 8))
+        names = data.draw(st.permutations([f"a{i}" for i in range(n)]))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        shared = data.draw(st.sets(pair, min_size=1, max_size=10))
+        attacks = list(shared | data.draw(st.sets(pair, max_size=20)))
+        supports = list(shared | data.draw(st.sets(pair, max_size=20)))
+        both = set(attacks) & set(supports)
+        with pytest.raises(BagValidationError) as err:
+            Bag(names, [0.5] * n, attacks, supports)
+        pretty = sorted((names[u], names[v]) for u, v in both)
+        assert str(err.value) == (
+            f"edges declared as both attack and support: {pretty}")
+
     def test_duplicate_edges_collapse(self):
         bag = Bag(["a", "b"], [0.5, 0.5], attacks=[(0, 1), (0, 1)])
         assert bag == Bag(["a", "b"], [0.5, 0.5], attacks=[(0, 1)])

@@ -302,6 +302,11 @@ class TestSerialize:
         bag = Bag(["a"], [1e-9])
         assert parse_bag(serialize_bag(bag)).weights[0] == 1e-9
 
+    def test_injected_statement_is_refused(self):
+        # written verbatim, this one name reads back as two arguments
+        with pytest.raises(ValueError, match=r"argument name 'b,0\.9\)"):
+            serialize_bag(Bag(["b,0.9).\narg(c"], [0.5]))
+
 
 @st.composite
 def named_bags(draw):
@@ -325,6 +330,26 @@ def named_bags(draw):
 @given(named_bags())
 def test_random_roundtrip(bag):
     assert parse_bag(serialize_bag(bag)) == bag
+
+
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
+@given(st.lists(st.one_of(st.text(max_size=8),
+                          st.from_regex(NAME, fullmatch=True)),
+                min_size=1, max_size=5, unique=True), st.data())
+def test_any_names_round_trip_or_are_refused(names, data):
+    # a name written verbatim could read back as another graph
+    n = len(names)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    attacks = data.draw(st.sets(pairs, max_size=6))
+    bag = Bag(names, [0.5] * n, attacks)
+    bad = [x for x in names if not re.fullmatch(NAME, x)]
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(repr(bad[0]))):
+            serialize_bag(bag)
+    else:
+        assert parse_bag(serialize_bag(bag)) == bag
 
 
 # blanks and comments that may stand between two statements
@@ -516,6 +541,15 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="arity"):
             write_trajectory_csv(traj, ["a"], target)
         assert not target.exists()
+
+    def test_header_names_are_format_names(self):
+        # a comma in a name would shift every column after it
+        traj = Trajectory()
+        traj.append(0, [0.5, 0.25])
+        out = stdio.StringIO()
+        with pytest.raises(ValueError, match="'a,b'"):
+            write_trajectory_csv(traj, ["a,b", "c"], out)
+        assert out.getvalue() == ""
 
     def test_every_sink_gets_the_same_text(self, tmp_path):
         bag = generate_family(1, 0.9, 0.1)

@@ -31,7 +31,7 @@ from bagsolve import (
     update,
     update_levels,
 )
-from bagsolve import core, semantics
+from bagsolve import semantics
 from conftest import AGG_KINDS, INFL_KINDS, bags, random_bag, specs
 import reference
 from reference import aggregate, parent_vector, relations
@@ -164,21 +164,22 @@ def assert_bit_length_blocks(bag: Bag) -> None:
     blocks, and fewer slots than twice the edges."""
     degree = np.diff(bag.indptr)
     lengths, slots = [], 0
-    for pos, code in bag.blocks:
+    for pos, code in bag.memo(semantics._indegree_blocks):
         classes = {int(d).bit_length() for d in degree[pos].tolist()}
         assert len(classes) == 1
         assert code.shape[0] == degree[pos].max()
         lengths += classes
         slots += code.size
     assert len(set(lengths)) == len(lengths)
-    assert len(bag.blocks) <= max_indegree(bag).bit_length()
+    assert (len(bag.memo(semantics._indegree_blocks))
+            <= max_indegree(bag).bit_length())
     assert slots < 2 * bag.src.size or not bag.src.size
 
 
 def decode(bag: Bag):
     """(pos, parents, signs, padding) of each block of ``bag``."""
     n = bag.n
-    for pos, code in bag.blocks:
+    for pos, code in bag.memo(semantics._indegree_blocks):
         attack = code > n
         parents = np.where(attack, code - (n + 1), code)
         yield pos, parents, np.where(attack, -1.0, 1.0), code == n
@@ -189,9 +190,10 @@ class TestIndegreeBlocks:
         # every build groups the indegrees once; the level sweep of
         # solve_acyclic reads the same cached blocks as update
         builds = []
-        real = core._indegree_groups
-        monkeypatch.setattr(core, "_indegree_groups",
-                            lambda degree: builds.append(1) or real(degree))
+        real = semantics._indegree_blocks
+        monkeypatch.setattr(semantics, "_indegree_blocks",
+                            lambda bag, key: builds.append(1)
+                            or real(bag, key))
         family = generate_family(3, 0.3, 0.8)
         star = generate_star(10, 0.9, 0.4)
         for agg in AGG_KINDS:
@@ -236,7 +238,7 @@ class TestIndegreeBlocks:
         # indegrees 1 | 2, 3 | 4 make three blocks, one per bit length
         small = Bag([f"a{i}" for i in range(5)], [0.5] * 5,
                     attacks={(j, i) for i in range(5) for j in range(i)})
-        assert len(small.blocks) == 3
+        assert len(small.memo(semantics._indegree_blocks)) == 3
         many = distinct_indegrees_bag(np.random.default_rng(6))
         for bag in (small, many, *GRAPHS.values()):
             assert_bit_length_blocks(bag)
@@ -247,11 +249,12 @@ class TestIndegreeBlocks:
         rng = np.random.default_rng(6)
         bag = distinct_indegrees_bag(rng)
         n = bag.n
-        assert len(bag.blocks) <= 30
+        assert len(bag.memo(semantics._indegree_blocks)) <= 30
         s = rng.random(n)
         # one level with arguments in several blocks
         rows = np.sort(rng.choice(n, size=100, replace=False))
-        assert sum(np.isin(pos, rows).any() for pos, _ in bag.blocks) > 1
+        assert sum(np.isin(pos, rows).any()
+                   for pos, _ in bag.memo(semantics._indegree_blocks)) > 1
         for agg in AGG_KINDS:
             spec = spec_for(agg, "linear", bag)
             assert np.array_equal(update(bag, spec, s),
@@ -550,7 +553,7 @@ class TestKernelCache:
         for infl in INFL_KINDS:
             spec = SemanticsSpec("product", infl, kappa=6.0)
             update(bag, spec, bag.weights)
-            blocks, _, pad, consts = bag.memo(spec, semantics._build_kernel)
+            blocks, pad, consts = bag.memo(semantics._build_kernel, spec)
             for arr in (pad, *consts, *(x for b in blocks for x in b)):
                 assert not arr.flags.writeable
 

@@ -19,6 +19,7 @@ from bagsolve import (
     update,
     validate_spec,
 )
+from bagsolve.analysis import generate_star
 from conftest import bags, specs
 from reference import parent_vector
 
@@ -44,6 +45,14 @@ class TestPresets:
             SemanticsSpec("median", "linear")
         with pytest.raises(SemanticsConfigError):
             SemanticsSpec("sum", "sigmoid")
+
+    @pytest.mark.parametrize("p", [float("inf"), float("nan"), 10**400, 2.5,
+                                   -float("inf")],
+                             ids=["inf", "nan", "10**400", "2.5", "-inf"])
+    def test_p_is_a_whole_number_a_float_holds(self, p):
+        with pytest.raises(SemanticsConfigError, match="p must be a positive"):
+            SemanticsSpec("sum", "pmax", p=p)
+        assert SemanticsSpec("sum", "euler", p=p).p is p  # p unused
 
 
 class TestAggregate:
@@ -190,6 +199,12 @@ class TestUpdate:
         bag = Bag(["a", "b"], [0.3, 0.8])
         for spec in (dfq(1.0), euler_semantics(), qe(1.0)):
             assert update(bag, spec, bag.weights).tolist() == [0.3, 0.8]
+
+    @pytest.mark.parametrize("shape", [(5,), (3,), (4, 1), (1, 4), ()])
+    def test_state_of_another_shape_is_refused(self, shape):
+        bag = generate_star(3, 0.9, 0.4)  # four arguments
+        with pytest.raises(ValueError, match="expected a state of 4 "):
+            update(bag, qe(1.0), np.full(shape, 0.5))
 
     def test_single_attack_dfq(self):
         # alpha(b) = (1-0.6) - 1 = -0.6; iota = 0.9 - 0.9*0.6 = 0.36
