@@ -65,7 +65,7 @@ class Bag:
     Parameters
     ----------
     names:
-        Argument names in declaration order. Must be unique.
+        Argument names in declaration order: unique strings.
     weights:
         Initial weight per argument, each in [0, 1].
     attacks, supports:
@@ -90,6 +90,10 @@ class Bag:
         supports: Union[Iterable[Edge], np.ndarray] = (),
     ):
         names = tuple(names)
+        for name in names:
+            if not isinstance(name, str):
+                raise BagValidationError(
+                    f"argument names must be strings, got {name!r}")
         if len(set(names)) != len(names):
             dupes = sorted(x for x, c in Counter(names).items() if c > 1)
             raise BagValidationError(f"duplicate argument names: {dupes}")

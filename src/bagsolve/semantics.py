@@ -98,49 +98,28 @@ PRESETS = {"dfq": dfq, "euler": euler_semantics, "qe": qe}
 # ---------------------------------------------------------------------------
 # update kernel
 #
-# The aggregation (``_tables``/``_fold``) and the influence (``_influence``)
-# are written once: ``update`` and ``update_levels`` run them on a Bag's
-# cached blocks, ``aggregate`` and ``influence`` on parent vectors and
-# (w, a) pairs, which is what the property checks of ``analysis`` sample.
+# The aggregation (``_tables``/``_fold``), the influence (``_influence``) and
+# their update map (``_sweep``) are written once; ``aggregate`` and
+# ``influence`` run them on what the checks of ``analysis`` sample.
 
-def _paired(pos: np.ndarray, code: np.ndarray):
-    # Numpy reduces axis 0 of a C-contiguous (d, m) array one row at a time,
-    # so each column folds its parents in order, supporters then attackers,
-    # one at a time; but it would sum a lone column as a 1-D array,
-    # pairwise, so that one is folded (and written) twice.
-    if code.shape[1] == 1:
-        return pos.repeat(2), code.repeat(2, axis=1)
-    return pos, code
-
-
-def _identity_pad(kind: str, n: int) -> np.ndarray:
-    # The entries of the tables besides the n strengths (see _tables)
-    return np.full(1 if kind == SUM else n + 1, 1.0 if kind == PRODUCT else 0.0)
-
-
-def _influence_constants(spec: SemanticsSpec,
-                         w: np.ndarray) -> tuple[np.ndarray, ...]:
+def _influence_constants(spec: SemanticsSpec, w: np.ndarray) -> tuple:
     # w, then what _influence reads besides it
     if spec.influence == LINEAR:
         with np.errstate(over="ignore"):  # inf for a subnormal kappa
             return w, w / spec.kappa, (1.0 - w) / spec.kappa
     if spec.influence == EULER:
         return w, 1.0 - w * w, np.where(w > 0.0, 1.0, 0.0)
-    if spec.influence == PMAX:
-        return w, -w, 1.0 - w
-    return (w,)
+    return (w,)  # pmax and constant
 
 
 def _indegree_blocks(bag: Bag, _: None) -> tuple[tuple[np.ndarray, ...], ...]:
     # The edges as (pos, code) blocks, built once per Bag (``bag.memo``).
     # Arguments whose indegrees have the same bit length share a block,
     # positions ascending, padded to the largest indegree d among them: so
-    # there are at most max_indegree.bit_length() blocks, and as every
-    # column is more than half parents, fewer than 2 x edges slots. Row k of
-    # the C-contiguous (d, len(pos)) array ``code`` codes the k-th parent
-    # (CSR order) of each argument in an index into the tables of 2n + 1
-    # entries (see _tables): supporter p is p, attacker p is n + 1 + p, and
-    # n pads a column of fewer than d parents.
+    # there are at most max_indegree.bit_length() blocks, and fewer than
+    # 2 x edges slots. Row k of the C-contiguous (d, len(pos)) array ``code``
+    # codes each argument's k-th parent (CSR order) into the tables, and n
+    # pads a column of fewer than d parents.
     n, starts, degree = bag.n, bag.indptr[:-1], np.diff(bag.indptr)
     length = np.frexp(degree)[1]  # bit length; 0 for the parentless
     blocks = []
@@ -161,37 +140,31 @@ def _indegree_blocks(bag: Bag, _: None) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(blocks)
 
 
-def _build_kernel(bag: Bag, spec: SemanticsSpec):
-    # What update needs of (bag, spec) but the strengths, all read-only:
-    # the blocks (see _paired), the tables' identity entries and the
-    # influence's constants
-    blocks = tuple(_paired(pos, code)
-                   for pos, code in bag.memo(_indegree_blocks))
-    pad = _identity_pad(spec.aggregation, bag.n)
-    consts = _influence_constants(spec, bag.weights)
-    for arr in (pad, *consts, *(x for block in blocks for x in block)):
-        arr.setflags(write=False)
-    return blocks, pad, consts
-
-
-def _tables(kind: str, x: np.ndarray,
-            pad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The supporter and attacker tables that the codes of _indegree_blocks
-    # index, for the strengths x: [x | 0 | -x] for the sum (one table serves
-    # both sides; adding -x subtracts x exactly); for product and top one
-    # table per side, whose other half and padding hold the fold's identity
-    # (1.0 - 0.0 = 1.0 and 0.0).
-    if kind == SUM:
-        sup = np.concatenate((x, pad, -x))
-        return sup, sup
+def _tables(kind: str, x: np.ndarray, tables=None, rows=slice(None)):
+    # The tables of x, or ``tables`` with x entered for ``rows``: supporter
+    # p at p, attacker p at n + 1 + p, the fold's identity elsewhere (so the
+    # sum's one table is [x | 0 | -x], and adding -x subtracts x exactly)
+    if tables is None:
+        n, sup = x.size, np.empty(2 * x.size + 1)
+        tables = sup, sup if kind == SUM else np.empty(2 * n + 1)
+        if kind == SUM:
+            sup[n] = 0.0
+        else:
+            sup[n:] = tables[1][:n + 1] = 1.0 if kind == PRODUCT else 0.0
+    sup, att = tables
+    n = sup.size // 2
     u = 1.0 - x if kind == PRODUCT else x
-    return np.concatenate((u, pad)), np.concatenate((pad, u))
+    sup[:n][rows] = u
+    att[n + 1:][rows] = -u if kind == SUM else u
+    return tables
 
 
 def _fold(kind: str, sup: np.ndarray, att: np.ndarray,
           code: np.ndarray) -> np.ndarray:
-    # The aggregate of every column of one block's codes (see _paired);
-    # take gathers fast, into a C-contiguous array whatever the codes' layout
+    # The aggregate of each column of a block's codes, parents in CSR order:
+    # numpy reduces axis 0 row by row, but a lone column pairwise, so pair it
+    if code.shape[1] == 1:
+        return _fold(kind, sup, att, code.repeat(2, axis=1))[:1]
     if kind == SUM:
         return np.add.reduce(sup.take(code), axis=0)
     if kind == PRODUCT:
@@ -232,11 +205,81 @@ def _influence(spec: SemanticsSpec, consts: tuple[np.ndarray, ...],
         ax = np.abs(x)
         yp = np.minimum(ax, 1.0 / np.maximum(ax, 1.0)) ** spec.p
         h = np.where(ax < 1.0, yp, 1.0) / (1.0 + yp)
-        return w + np.where(x < 0.0, consts[1], consts[2]) * h
+        return w + np.where(x < 0.0, -w, 1.0 - w) * h
     else:
         return w.copy()  # constant
     np.copyto(out, w, where=a == 0.0)
     return out
+
+
+def _joined(parts: list) -> np.ndarray:  # a deep DAG's levels have one part
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _sweep(bag: Bag, spec: SemanticsSpec, start: np.ndarray, plans):
+    # The update map from tables of ``start``, one plan (codes per block,
+    # arguments in block order, influence constants) per level, into a copy
+    # of the weights and, but the last level's, the tables. The first plan,
+    # the tables and the copy are made in turn, so their peaks do not add.
+    plans = iter(plans)
+    plan, values = next(plans, None), None
+    tables = _tables(spec.aggregation, start)
+    while plan is not None:
+        codes, rows, consts = plan
+        a = _joined([_fold(spec.aggregation, *tables, code) for code in codes])
+        if (plan := next(plans, None)) is None:
+            del tables  # freed before the influence allocates its temporaries
+        new = _influence(spec, consts, a)
+        values = bag.weights.copy() if values is None else values
+        values[rows] = new
+        if plan is not None:
+            _tables(spec.aggregation, new, tables, rows)
+    return bag.weights.copy() if values is None else values
+
+
+def _update_plan(bag: Bag, spec: SemanticsSpec):
+    # update's plans, one level of the arguments with parents (at aggregate
+    # 0 every influence returns w) or none; shared by threads, so read-only
+    blocks = bag.memo(_indegree_blocks)
+    if not blocks:
+        return ()
+    rows = np.concatenate([pos for pos, _ in blocks])
+    consts = _influence_constants(spec, bag.weights[rows])
+    for arr in (rows, *consts):
+        arr.setflags(write=False)
+    return ((tuple(code for _, code in blocks), rows, consts),)
+
+
+def _level_plans(bag: Bag, spec: SemanticsSpec, levels: Sequence):
+    # update_levels' plans, made as the sweep reaches them from the cached
+    # blocks' columns ordered by level, if the levels are valid
+    n, count = bag.n, len(levels)
+    flat = np.concatenate([np.asarray(rows) for rows in levels if len(rows)]
+                          or [np.empty(0, int)])
+    if (flat.dtype.kind not in "iu" or flat.ndim != 1
+            or flat.size and (flat.min() < 0 or flat.max() >= n)):
+        raise ValueError(f"levels must hold argument indices in [0, {n})")
+    level = np.full(n, count, dtype=np.min_scalar_type(count))
+    level[flat] = np.repeat(np.arange(count, dtype=level.dtype),
+                            [len(rows) for rows in levels])
+    if np.count_nonzero(level < count) < flat.size:
+        raise ValueError("an argument index is listed twice in levels")
+    ordered = [(pos[at], code.take(at, axis=1), np.searchsorted(
+                   level[pos][at], np.arange(count + 1)).tolist())
+               for pos, code in bag.memo(_indegree_blocks)
+               for at in [np.argsort(level[pos], kind="stable")]]
+    del flat, level  # freed before the sweep's tables
+    consts = _influence_constants(spec, bag.weights)
+    for j in range(count):
+        codes, rows = [], []
+        for pos, code, ends in ordered:
+            lo, hi = ends[j], ends[j + 1]
+            if lo < hi:
+                codes.append(code[:, lo:hi])
+                rows.append(pos[lo:hi])
+        if codes:
+            rows = _joined(rows)
+            yield codes, rows, tuple(c[rows] for c in consts)
 
 
 def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
@@ -257,10 +300,8 @@ def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
     code = np.where(rows == 1, at,
                     np.where(rows == -1, at + (size + 1), 2 * size + 1))
     code.sort(axis=1)
-    pos, code = _paired(np.arange(len(rows)),
-                        np.where(code.T > 2 * size, size, code.T))
-    a = np.empty(len(rows))
-    a[pos] = _fold(kind, *_tables(kind, x, _identity_pad(kind, size)), code)
+    a = _fold(kind, *_tables(kind, x), np.where(code.T > 2 * size, size,
+                                                code.T))
     return float(a[0]) if np.ndim(v) == 1 else a
 
 
@@ -283,65 +324,23 @@ def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
 
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
-    """One synchronous update: every argument recomputed from the old state
-    ``s``, one strength per argument (another shape raises ValueError)."""
+    """One synchronous update of every argument from the old state ``s``, one
+    strength each (else ValueError): the sweep of one level, from ``s``."""
     x = np.asarray(s, dtype=float)
     if x.shape != (bag.n,):
         raise ValueError(
             f"expected a state of {bag.n} strengths, got shape {x.shape}")
-    kind = spec.aggregation
-    blocks, pad, consts = bag.memo(_build_kernel, spec)
-    tables = _tables(kind, x, pad)
-    a = np.zeros(bag.n)  # parentless arguments aggregate to 0
-    for pos, code in blocks:
-        a[pos] = _fold(kind, *tables, code)
-    del tables  # freed before the influence allocates its temporaries
-    return _influence(spec, consts, a)
+    return _sweep(bag, spec, x, bag.memo(_update_plan, spec))
 
 
 def update_levels(bag: Bag, spec: SemanticsSpec,
                   levels: Sequence[Sequence[int]]) -> np.ndarray:
-    """The strengths after updating the disjoint argument sets ``levels``
-    in turn, starting from the weights; other arguments keep their weight.
-
-    Each level is recomputed at once from the strengths the levels before
-    it left, so over ``topological_levels`` this is the exact acyclic
-    evaluation. The columns of each of the kernel's cached indegree blocks
-    are ordered by level once; a level then costs a few numpy calls per
-    block it has arguments in, plus O(its arguments and their parents).
-    """
-    kind = spec.aggregation
-    _, pad, consts = bag.memo(_build_kernel, spec)
-    values = bag.weights.copy()
-    count = len(levels)
-    level = np.full(bag.n, count, dtype=np.min_scalar_type(count))
-    for j, rows in enumerate(levels):
-        level[rows] = j
-    plan = []  # per block: positions and codes by level, and level bounds
-    for pos, code in bag.memo(_indegree_blocks):
-        order = np.argsort(level[pos], kind="stable")
-        ends = np.searchsorted(level[pos][order], np.arange(count + 1))
-        plan.append((pos[order], code[:, order], ends.tolist()))
-    sup, att = _tables(kind, values, pad)
-    n = bag.n
-    for j in range(count):
-        rows, folds = [], []
-        for pos, code, ends in plan:
-            lo, hi = ends[j], ends[j + 1]
-            if lo < hi:
-                at, codes = _paired(pos[lo:hi], code[:, lo:hi])
-                rows.append(at)
-                folds.append(_fold(kind, sup, att, codes))
-        if rows:
-            rows = np.concatenate(rows)
-            new = _influence(spec, tuple(c[rows] for c in consts),
-                             np.concatenate(folds))
-            values[rows] = new
-            # enter the new strengths into the tables, as _tables does
-            u = 1.0 - new if kind == PRODUCT else new
-            sup[rows] = u
-            att[rows + (n + 1)] = -u if kind == SUM else u
-    return values
+    """The strengths after updating the disjoint argument sets ``levels`` in
+    turn from the weights, each from what the ones before left (others keep
+    their weight): over ``topological_levels``, the exact acyclic solve.
+    Levels hold integer indices in [0, n), or none; others raise ValueError.
+    A level costs a few numpy calls per indegree block, plus O(its edges)."""
+    return _sweep(bag, spec, bag.weights, _level_plans(bag, spec, levels))
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,16 @@ class TestValidation:
         with pytest.raises(BagValidationError, match="duplicate"):
             Bag(["a", "a"], [0.5, 0.5])
 
+    @pytest.mark.parametrize("names,bad", [
+        ([1, (2, 3)], "1"), (["a", (2, 3)], "(2, 3)"), (["a", None], "None"),
+        (["a", b"b"], "b'b'"), ([["a"]], "['a']")])
+    def test_names_that_are_not_strings(self, names, bad):
+        # no reader of the format makes them, and the writers refuse them
+        # only with an error from deep inside re
+        with pytest.raises(BagValidationError) as err:
+            Bag(names, [0.5] * len(names), [(0, len(names) - 1)])
+        assert str(err.value) == f"argument names must be strings, got {bad}"
+
     def test_duplicate_among_many_names_is_named(self):
         names = [f"a{i}" for i in range(10**5)]
         names[70_000] = "a123"

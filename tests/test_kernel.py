@@ -10,6 +10,7 @@ library's, so the two may differ by round-off, bounded here beforehand by
 they are held to ``update`` bit for bit.
 """
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -538,8 +539,8 @@ class TestKernelCache:
 
     def test_built_once_per_spec_in_a_row(self, monkeypatch):
         builds = []
-        real = semantics._build_kernel
-        monkeypatch.setattr(semantics, "_build_kernel",
+        real = semantics._update_plan
+        monkeypatch.setattr(semantics, "_update_plan",
                             lambda bag, spec: builds.append(spec)
                             or real(bag, spec))
         bag = generate_family(3, 0.3, 0.8)
@@ -548,14 +549,31 @@ class TestKernelCache:
             update(bag, spec, bag.weights)
         assert builds == [first, second, first]
 
-    def test_constants_are_read_only(self):
-        bag = generate_star(5, 0.3, 0.6)
+    @pytest.mark.parametrize("name", ["lone-column", "star", "one-block"])
+    def test_constants_are_read_only(self, name):
+        # threads share the plan, so no array of it may be written; it holds
+        # the cached codes, and constants only for the arguments with
+        # parents, in block order
+        bag = BIT_GRAPHS[name]
+        blocks = bag.memo(semantics._indegree_blocks)
         for infl in INFL_KINDS:
             spec = SemanticsSpec("product", infl, kappa=6.0)
             update(bag, spec, bag.weights)
-            blocks, pad, consts = bag.memo(semantics._build_kernel, spec)
-            for arr in (pad, *consts, *(x for b in blocks for x in b)):
+            (codes, rows, consts), = bag.memo(semantics._update_plan, spec)
+            for arr in (rows, *consts, *codes):
                 assert not arr.flags.writeable
+            assert all(code is block[1] for code, block in zip(codes, blocks))
+            assert rows.tolist() == [i for pos, _ in blocks for i in pos]
+            assert sorted(rows.tolist()) == np.flatnonzero(
+                np.diff(bag.indptr)).tolist()
+            for c in consts:
+                assert c.shape == rows.shape
+            assert consts[0].tolist() == bag.weights[rows].tolist()
+
+    def test_no_plan_without_parents(self):
+        bag = BIT_GRAPHS["parentless"]
+        update(bag, qe(1.0), bag.weights)
+        assert bag.memo(semantics._update_plan, qe(1.0)) == ()
 
     @pytest.mark.parametrize("name", ["one-block", "lone-column", "random-1"])
     def test_alternating_specs_match_a_fresh_bag(self, name):
@@ -599,3 +617,20 @@ class TestKernelCache:
         assert len(got) == len(work)
         for out, ref in zip(got, expected):
             assert_same_bits(out, ref)
+
+
+def test_level_sweep_memory_is_bounded_on_a_deep_chain():
+    # each of the 2 x 10^4 levels' plan is made as the sweep reaches it;
+    # plans made for every level first peaked at ~23 MiB
+    n = 20_000
+    chain = Bag([f"a{i}" for i in range(n)], [0.5] * n,
+                attacks=[(i, i + 1) for i in range(n - 1)])
+    levels = topological_levels(chain)
+    tracemalloc.start()
+    try:
+        out = update_levels(chain, dfq(1.0), levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert out[:3].tolist() == [0.5, 0.25, 0.375]

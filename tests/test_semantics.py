@@ -17,6 +17,7 @@ from bagsolve import (
     lipschitz_influence,
     qe,
     update,
+    update_levels,
     validate_spec,
 )
 from bagsolve.analysis import generate_star
@@ -205,6 +206,29 @@ class TestUpdate:
         bag = generate_star(3, 0.9, 0.4)  # four arguments
         with pytest.raises(ValueError, match="expected a state of 4 "):
             update(bag, qe(1.0), np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("levels", [
+        [[-4]], [[0], [-1]],            # negative indices would wrap
+        [[1, 2], [2]], [[3, 3]],        # an argument in two levels, twice
+        [[4]], [[0], [7]],              # past the last argument
+        [[1.0]], [[0], [2.0, 3.0]],     # floats
+        [[True]], [[[0, 1]]],           # booleans, a nested level
+    ])
+    def test_bad_levels_are_refused(self, levels):
+        bag = generate_star(3, 0.9, 0.4)  # the centre 0 and three leaves
+        with pytest.raises(ValueError, match="levels"):
+            update_levels(bag, qe(1.0), levels)
+
+    def test_levels_may_be_empty(self):
+        bag = generate_star(3, 0.9, 0.4)
+        spec = qe(1.0)
+        exact = update_levels(bag, spec, [[1, 2, 3], [0]])
+        assert exact[0] != bag.weights[0]
+        for levels in ([[], [1, 2, 3], np.array([], int), [0]],
+                       [np.array([1, 2, 3]), [], np.array([0])]):
+            assert update_levels(bag, spec, levels).tolist() == exact.tolist()
+        assert update_levels(bag, spec, [[], []]).tolist() == [0.9, .4, .4, .4]
+        assert update_levels(bag, spec, []).tolist() == [0.9, .4, .4, .4]
 
     def test_single_attack_dfq(self):
         # alpha(b) = (1-0.6) - 1 = -0.6; iota = 0.9 - 0.9*0.6 = 0.36
