@@ -62,6 +62,7 @@ def verify_fixed_point(bag: Bag, spec: SemanticsSpec,
 def _check_run(dt: float, tolerance: float, *budgets: float) -> None:
     if not 0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
+    dt = float(dt)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     for budget in budgets:
@@ -69,6 +70,12 @@ def _check_run(dt: float, tolerance: float, *budgets: float) -> None:
             raise ValueError(f"budget must be a number, got {budget}")
         if not abs(budget) < np.inf:  # a run that never settles never ends
             raise ValueError(f"budget must be finite, got {budget}")
+        # the clock stops at the first multiple of dt at or past the budget;
+        # where budget / dt passes float range, that is within dt of it
+        steps = float(budget) / dt
+        if abs(steps) < np.inf and not math.ceil(steps) * dt < np.inf:
+            raise ValueError(f"budget {budget} in steps of {dt} ends the run "
+                             f"at an infinite time")
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:

@@ -190,14 +190,20 @@ def max_indegree(bag: Bag) -> int:
     return int(np.diff(bag.indptr).max(initial=0))
 
 
-def _depths(bag: Bag) -> Optional[np.ndarray]:
-    # Level of every argument by one FIFO Kahn sweep over Python lists, or
-    # None when the graph is cyclic. The queue is consumed in order of
-    # level: it starts with the level-0 arguments, and each consumed
-    # argument of level k appends only arguments of level k + 1. So the
-    # parent that releases an argument, its last parent to leave the queue,
-    # is one of its deepest parents, and the argument's level is that
-    # parent's + 1.
+def topological_levels(bag: Bag) -> Optional[np.ndarray]:
+    """Level of every argument, or None when the graph is cyclic.
+
+    Level 0 holds the parentless arguments and level k those whose longest
+    path from a parentless argument has k edges, so every parent of an
+    argument has a lower level. The levels come in the smallest unsigned
+    dtype that holds n; ``update_levels`` takes them as they are. The cost
+    is O(n + edges): one FIFO Kahn sweep over Python lists.
+    """
+    # The queue is consumed in order of level: it starts with the level-0
+    # arguments, and each consumed argument of level k appends only
+    # arguments of level k + 1. So the parent that releases an argument,
+    # its last parent to leave the queue, is one of its deepest parents,
+    # and the argument's level is that parent's + 1.
     n = bag.n
     by_source = np.argsort(bag.src)  # the order of children changes no level
     child_ptr = np.zeros(n + 1, dtype=np.intp)
@@ -226,25 +232,8 @@ def topological_order(bag: Bag) -> Optional[list[int]]:
     """Topological order over attacks+supports, or None when the graph is cyclic.
 
     Every edge (u, v) satisfies position(u) < position(v) in the returned
-    order. It lists the levels of ``topological_levels`` one after the
-    other, so the order is deterministic: by level, then by index.
+    order. It is the stable argsort of ``topological_levels``, so the order
+    is deterministic: by level, then by index.
     """
-    depth = _depths(bag)
-    return None if depth is None else np.argsort(depth, kind="stable").tolist()
-
-
-def topological_levels(bag: Bag) -> Optional[list[np.ndarray]]:
-    """Arguments grouped by depth, or None when the graph is cyclic.
-
-    Level 0 holds the parentless arguments and level k those whose longest
-    path from a parentless argument has k edges, so every parent of an
-    argument sits in an earlier level. Each level is sorted by index. The
-    cost is O(n + edges): one sweep finds every level, and one stable sort
-    groups them.
-    """
-    depth = _depths(bag)
-    if depth is None:
-        return None
-    order = np.argsort(depth, kind="stable")
-    ends = np.cumsum(np.bincount(depth)).tolist()
-    return [order[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    level = topological_levels(bag)
+    return None if level is None else np.argsort(level, kind="stable").tolist()

@@ -251,7 +251,7 @@ def serialize_bag(bag: Bag) -> str:
 
 
 def _format_time(t: float) -> str:
-    return str(int(t)) if t == int(t) else repr(t)
+    return str(int(t)) if float(t).is_integer() else repr(t)
 
 
 def _row_text(state: np.ndarray) -> str:

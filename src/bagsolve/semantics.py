@@ -237,42 +237,25 @@ def _sweep(bag: Bag, spec: SemanticsSpec, start: np.ndarray, plans):
     return bag.weights.copy() if values is None else values
 
 
-def _update_plan(bag: Bag, spec: SemanticsSpec):
-    # update's plans, one level of the arguments with parents (at aggregate
-    # 0 every influence returns w) or none; shared by threads, so read-only
-    blocks = bag.memo(_indegree_blocks)
-    if not blocks:
-        return ()
-    rows = np.concatenate([pos for pos, _ in blocks])
-    consts = _influence_constants(spec, bag.weights[rows])
-    for arr in (rows, *consts):
-        arr.setflags(write=False)
-    return ((tuple(code for _, code in blocks), rows, consts),)
-
-
-def _level_plans(bag: Bag, spec: SemanticsSpec, levels: Sequence):
-    # update_levels' plans, made as the sweep reaches them from the cached
-    # blocks' columns ordered by level, if the levels are valid
-    n, count = bag.n, len(levels)
-    flat = np.concatenate([np.asarray(rows) for rows in levels if len(rows)]
-                          or [np.empty(0, int)])
-    if (flat.dtype.kind not in "iu" or flat.ndim != 1
-            or flat.size and (flat.min() < 0 or flat.max() >= n)):
-        raise ValueError(f"levels must hold argument indices in [0, {n})")
-    level = np.full(n, count, dtype=np.min_scalar_type(count))
-    level[flat] = np.repeat(np.arange(count, dtype=level.dtype),
-                            [len(rows) for rows in levels])
-    if np.count_nonzero(level < count) < flat.size:
-        raise ValueError("an argument index is listed twice in levels")
-    ordered = [(pos[at], code.take(at, axis=1), np.searchsorted(
-                   level[pos][at], np.arange(count + 1)).tolist())
-               for pos, code in bag.memo(_indegree_blocks)
-               for at in [np.argsort(level[pos], kind="stable")]]
-    del flat, level  # freed before the sweep's tables
+def _plans(bag: Bag, spec: SemanticsSpec, level: np.ndarray):
+    # The sweep's plans over ``level``, one integer in [0, n) per argument,
+    # made as the sweep reaches them: for each level with arguments with
+    # parents (at aggregate 0 every influence returns w), its columns of the
+    # cached blocks, their arguments and influence constants. A block
+    # already in level order (always for one level) is used as it is, so
+    # its plans hold views of its codes.
+    bounds = np.arange(int(level.max(initial=0)) + 2)  # level j: [j, j + 1)
+    blocks = []
+    for pos, code in bag.memo(_indegree_blocks):
+        key = level[pos]
+        if np.any(key[1:] < key[:-1]):  # not in level order
+            at = np.argsort(key, kind="stable")
+            pos, code, key = pos[at], code.take(at, axis=1), key[at]
+        blocks.append((pos, code, np.searchsorted(key, bounds).tolist()))
     consts = _influence_constants(spec, bag.weights)
-    for j in range(count):
+    for j in range(bounds.size - 1):
         codes, rows = [], []
-        for pos, code, ends in ordered:
+        for pos, code, ends in blocks:
             lo, hi = ends[j], ends[j + 1]
             if lo < hi:
                 codes.append(code[:, lo:hi])
@@ -280,6 +263,16 @@ def _level_plans(bag: Bag, spec: SemanticsSpec, levels: Sequence):
         if codes:
             rows = _joined(rows)
             yield codes, rows, tuple(c[rows] for c in consts)
+
+
+def _update_plan(bag: Bag, spec: SemanticsSpec):
+    # update's plans: those of one level holding every argument; shared by
+    # threads, so read-only
+    plans = tuple(_plans(bag, spec, np.zeros(bag.n, np.uint8)))
+    for _, rows, consts in plans:
+        for arr in (rows, *consts):
+            arr.setflags(write=False)
+    return plans
 
 
 def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
@@ -334,13 +327,22 @@ def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
 
 
 def update_levels(bag: Bag, spec: SemanticsSpec,
-                  levels: Sequence[Sequence[int]]) -> np.ndarray:
-    """The strengths after updating the disjoint argument sets ``levels`` in
-    turn from the weights, each from what the ones before left (others keep
-    their weight): over ``topological_levels``, the exact acyclic solve.
-    Levels hold integer indices in [0, n), or none; others raise ValueError.
-    A level costs a few numpy calls per indegree block, plus O(its edges)."""
-    return _sweep(bag, spec, bag.weights, _level_plans(bag, spec, levels))
+                  levels: Sequence[int]) -> np.ndarray:
+    """The strengths after updating the arguments level by level from the
+    weights, each level from what the lower ones left. ``levels`` holds one
+    integer in [0, n) per argument, else ValueError; over
+    ``topological_levels`` this is the exact acyclic solve. A level costs a
+    few numpy calls per indegree block, plus O(its edges)."""
+    n = bag.n
+    try:
+        level = np.asarray(levels)
+    except ValueError:  # a ragged nesting, such as a list of index sets
+        level = None
+    if level is None or level.shape != (n,) or n and not (
+            level.dtype.kind in "iu" and 0 <= level.min() <= level.max() < n):
+        raise ValueError(
+            f"levels must hold one integer in [0, {n}) per argument")
+    return _sweep(bag, spec, bag.weights, _plans(bag, spec, level))
 
 
 # ---------------------------------------------------------------------------

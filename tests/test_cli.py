@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bagsolve import MODES, cli, generate_family, parse_bag, serialize_bag
+from bagsolve import (MODES, Outcome, SolveResult, cli, continuous,
+                      generate_family, parse_bag, serialize_bag)
 from bagsolve.analysis import fixture_duality_bag, generate_star
 from conftest import fresh_python
 
@@ -278,6 +279,21 @@ class TestBadInput:
         assert proc.returncode == 2
         assert "outcome: budget-exhausted" in proc.stdout
 
+    def test_time_past_float_range(self, family_file, tmp_path):
+        # two steps of 1e308 pass t_max = 1.7e308 at an infinite time,
+        # which the CSV writer could not format
+        csv = tmp_path / "t.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bagsolve.cli", "solve", family_file,
+             "--semantics", "qe", "--mode", "euler", "--delta", "1e308",
+             "--t-max", "1.7e308", "--trajectory", str(csv)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: budget 1.7e+308 in steps of "
+                                      "1e+308 ends the run at an infinite")
+        assert "Traceback" not in proc.stderr
+        assert not csv.exists()
+
     @pytest.mark.parametrize("command", [
         ["solve", "BAG"], ["certify", "BAG"], ["check", "lipschitz"],
         ["check", "open-mindedness", "BAG"]])
@@ -542,6 +558,18 @@ class TestCheck:
     def test_open_mindedness_needs_input(self, capsys):
         code = cli.main(["check", "open-mindedness", "--semantics", "euler"])
         assert code == 1
+
+    def test_open_mindedness_without_final_strengths(self, star_file, capsys,
+                                                     monkeypatch):
+        unsettled = SolveResult(Outcome.BUDGET_EXHAUSTED, np.zeros(2), 1.0)
+        monkeypatch.setattr(continuous, "solve",
+                            lambda *args, **kwargs: ("rk4", unsettled))
+        code = cli.main(["check", "open-mindedness", star_file,
+                         "--semantics", "euler"])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "open-mindedness: budget-exhausted — no final strengths to "
+            "check\n")
 
 
 class TestEntryPoint:

@@ -302,6 +302,7 @@ class TestSolve:
         (dict(max_iterations=float("nan")), "budget must be a number"),
         (dict(t_max=float("inf")), "budget must be finite"),
         (dict(max_iterations=float("inf")), "budget must be finite"),
+        (dict(delta=1e308, t_max=1.7e308), "at an infinite time"),
     ])
     @pytest.mark.parametrize("mode", MODES)
     def test_run_flags_are_checked_in_every_mode(self, mode, flags, message):
@@ -450,7 +451,8 @@ class TestStepControl:
         assert len(update_calls) <= 400
         assert verify_fixed_point(RESCUE, spec, result.strengths, 1e-4)
 
-    @pytest.mark.parametrize("t_max", [0.05, 0.3, 2.37, 4.0])
+    # 14 * 0.01 is a hair above 0.14, so the clamp's first m overshoots
+    @pytest.mark.parametrize("t_max", [0.05, 0.3, 2.37, 4.0, 14 * 0.01])
     def test_budget_ends_where_the_fixed_run_ends(self, t_max):
         fixed, controlled = self.pair(RESCUE, euler_semantics(), t_max=t_max)
         assert controlled.outcome is Outcome.BUDGET_EXHAUSTED

@@ -632,6 +632,13 @@ class TestTrajectoryRows:
         assert out.getvalue().splitlines()[1] == (
             "0,0.0,-0.0,0.0,-0.0,0.5,0.5,-0.0,0.0")
 
+    def test_times_past_float_range(self, tmp_path):
+        traj = Trajectory()
+        for t in (0, 2.5, float("inf"), float("nan")):
+            traj.append(t, [0.5])
+        for got in csv_bytes_of_every_sink(traj, ["a"], tmp_path):
+            assert got == b"t,a\n0,0.5\n2.5,0.5\ninf,0.5\nnan,0.5\n"
+
     def test_empty_states(self, tmp_path):
         traj = Trajectory()
         traj.append(0, [])

@@ -57,6 +57,17 @@ def test_submodules_import():
     assert out == "True True\n"
 
 
+def test_lazy_lookups_in_this_process(monkeypatch):
+    # the tests around this one run in new interpreters, out of a line
+    # trace's sight; here the imported submodule is taken off the package
+    # to reach its lazy lookup
+    import bagsolve
+    import bagsolve.semantics as semantics
+    monkeypatch.delattr(bagsolve, "semantics")
+    assert bagsolve.semantics is semantics
+    assert set(bagsolve.__all__) <= set(dir(bagsolve))
+
+
 def test_submodule_as_attribute():
     # as when the package imported every submodule but cli
     out = fresh_python("import bagsolve\n"

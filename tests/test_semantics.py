@@ -208,27 +208,32 @@ class TestUpdate:
             update(bag, qe(1.0), np.full(shape, 0.5))
 
     @pytest.mark.parametrize("levels", [
-        [[-4]], [[0], [-1]],            # negative indices would wrap
-        [[1, 2], [2]], [[3, 3]],        # an argument in two levels, twice
-        [[4]], [[0], [7]],              # past the last argument
-        [[1.0]], [[0], [2.0, 3.0]],     # floats
-        [[True]], [[[0, 1]]],           # booleans, a nested level
+        [0, 1, 1], [0, 1, 1, 1, 1], [[0, 1, 1, 1]],  # not one per argument
+        [[1, 2, 3], [0]], 0,                         # index sets, a scalar
+        [1.0, 0, 0, 0], [True, False, False, False], # floats, booleans
+        ["1", "0", "0", "0"], [2**70, 0, 0, 0],      # strings, past int64
+        [0, -1, 0, 0], [4, 0, 0, 0],                 # outside [0, 4)
     ])
     def test_bad_levels_are_refused(self, levels):
         bag = generate_star(3, 0.9, 0.4)  # the centre 0 and three leaves
-        with pytest.raises(ValueError, match="levels"):
+        with pytest.raises(ValueError, match=r"levels must hold one integer "
+                                             r"in \[0, 4\) per argument"):
             update_levels(bag, qe(1.0), levels)
 
-    def test_levels_may_be_empty(self):
+    def test_only_the_order_of_the_levels_counts(self):
         bag = generate_star(3, 0.9, 0.4)
         spec = qe(1.0)
-        exact = update_levels(bag, spec, [[1, 2, 3], [0]])
+        exact = update_levels(bag, spec, [1, 0, 0, 0])
         assert exact[0] != bag.weights[0]
-        for levels in ([[], [1, 2, 3], np.array([], int), [0]],
-                       [np.array([1, 2, 3]), [], np.array([0])]):
+        for levels in ([3, 2, 2, 2], np.array([1, 0, 0, 0], np.uint8),
+                       [0, 0, 0, 0]):  # the leaves keep their weight anyway
             assert update_levels(bag, spec, levels).tolist() == exact.tolist()
-        assert update_levels(bag, spec, [[], []]).tolist() == [0.9, .4, .4, .4]
-        assert update_levels(bag, spec, []).tolist() == [0.9, .4, .4, .4]
+        # in a chain a -> b -> c, c sees the weight of b in b's own level
+        chain = Bag(["a", "b", "c"], [0.9, 0.5, 0.5], attacks={(0, 1), (1, 2)})
+        assert update_levels(chain, spec, [0, 1, 1]).tolist() == update(
+            chain, spec, chain.weights).tolist()
+        assert update_levels(chain, spec, [0, 1, 2])[2] != update(
+            chain, spec, chain.weights)[2]
 
     def test_single_attack_dfq(self):
         # alpha(b) = (1-0.6) - 1 = -0.6; iota = 0.9 - 0.9*0.6 = 0.36
