@@ -154,15 +154,15 @@ class Bag:
         """Target of every edge, aligned with ``src`` and ``sign``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    def memo(self, build: Callable[["Bag", Any], Any], key: Any = None) -> Any:
-        """``build(self, key)``, kept until a call with the same ``build``
-        and another key: the update kernel's encoding of the edges, and its
-        constants for one semantics. One entry per ``build`` bounds the
-        memory of a sweep over many keys; it is replaced, never changed."""
-        entry = self._memo.get(build)
-        if entry is None or (entry[0] is not key and entry[0] != key):
-            entry = self._memo[build] = (key, build(self, key))
-        return entry[1]
+    def memo(self, build: Callable[["Bag"], Any]) -> Any:
+        """``build(self)``, built on first use and kept with the Bag: the
+        update kernel's encoding of the edges and its plan, which no
+        semantics changes. An entry is never replaced: threads that build
+        one at once all get the first one stored."""
+        try:
+            return self._memo[build]
+        except KeyError:
+            return self._memo.setdefault(build, build(self))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bag):

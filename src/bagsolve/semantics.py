@@ -102,17 +102,7 @@ PRESETS = {"dfq": dfq, "euler": euler_semantics, "qe": qe}
 # their update map (``_sweep``) are written once; ``aggregate`` and
 # ``influence`` run them on what the checks of ``analysis`` sample.
 
-def _influence_constants(spec: SemanticsSpec, w: np.ndarray) -> tuple:
-    # w, then what _influence reads besides it
-    if spec.influence == LINEAR:
-        with np.errstate(over="ignore"):  # inf for a subnormal kappa
-            return w, w / spec.kappa, (1.0 - w) / spec.kappa
-    if spec.influence == EULER:
-        return w, 1.0 - w * w, np.where(w > 0.0, 1.0, 0.0)
-    return (w,)  # pmax and constant
-
-
-def _indegree_blocks(bag: Bag, _: None) -> tuple[tuple[np.ndarray, ...], ...]:
+def _indegree_blocks(bag: Bag) -> tuple[tuple[np.ndarray, ...], ...]:
     # The edges as (pos, code) blocks, built once per Bag (``bag.memo``).
     # Arguments whose indegrees have the same bit length share a block,
     # positions ascending, padded to the largest indegree d among them: so
@@ -174,11 +164,10 @@ def _fold(kind: str, sup: np.ndarray, att: np.ndarray,
             - np.maximum.reduce(att.take(code), axis=0, initial=0.0))
 
 
-def _influence(spec: SemanticsSpec, consts: tuple[np.ndarray, ...],
+def _influence(spec: SemanticsSpec, w: np.ndarray,
                a: np.ndarray) -> np.ndarray:
-    # iota_w(a) (see influence) for every argument from its constants
+    # iota_w(a) (see influence) for every weight w and aggregate a
     kind = spec.influence
-    w = consts[0]
     if kind == LINEAR:
         kappa = spec.kappa
         outside = np.flatnonzero(np.abs(a) > kappa * (1.0 + 1e-9))
@@ -188,14 +177,17 @@ def _influence(spec: SemanticsSpec, consts: tuple[np.ndarray, ...],
                 f"outside [-kappa, kappa] with kappa={kappa}; validate the "
                 f"semantics against the graph")
         a = np.clip(a, -kappa, kappa)
+        side = np.where(a < 0.0, w, 1.0 - w)
         if kappa <= _KAPPA_MIN:  # w / kappa overflows; |a / kappa| <= 1
-            out = w + np.where(a < 0.0, w, 1.0 - w) * (a / kappa)
+            out = w + side * (a / kappa)
         else:
             with np.errstate(invalid="ignore"):  # 0 * inf at kappa = inf
-                out = w + np.where(a < 0.0, consts[1], consts[2]) * a
+                out = w + side / kappa * a
+        # w + w / kappa * a can round below 0 at a = -kappa
+        np.clip(out, 0.0, 1.0, out=out)
     elif kind == EULER:
-        out = 1.0 - consts[1] / (1.0 + w * np.exp(np.minimum(a, _EXP_MAX)))
-        np.copyto(out, consts[2], where=a > _EXP_MAX)
+        out = 1.0 - (1.0 - w * w) / (1.0 + w * np.exp(np.minimum(a, _EXP_MAX)))
+        np.copyto(out, w > 0.0, where=a > _EXP_MAX)
     elif kind == PMAX:
         with np.errstate(over="ignore"):  # inf saturates h to 1
             x = a / spec.kappa
@@ -218,18 +210,18 @@ def _joined(parts: list) -> np.ndarray:  # a deep DAG's levels have one part
 
 def _sweep(bag: Bag, spec: SemanticsSpec, start: np.ndarray, plans):
     # The update map from tables of ``start``, one plan (codes per block,
-    # arguments in block order, influence constants) per level, into a copy
+    # arguments in block order, their weights) per level, into a copy
     # of the weights and, but the last level's, the tables. The first plan,
     # the tables and the copy are made in turn, so their peaks do not add.
     plans = iter(plans)
     plan, values = next(plans, None), None
     tables = _tables(spec.aggregation, start)
     while plan is not None:
-        codes, rows, consts = plan
+        codes, rows, w = plan
         a = _joined([_fold(spec.aggregation, *tables, code) for code in codes])
         if (plan := next(plans, None)) is None:
             del tables  # freed before the influence allocates its temporaries
-        new = _influence(spec, consts, a)
+        new = _influence(spec, w, a)
         values = bag.weights.copy() if values is None else values
         values[rows] = new
         if plan is not None:
@@ -237,11 +229,11 @@ def _sweep(bag: Bag, spec: SemanticsSpec, start: np.ndarray, plans):
     return bag.weights.copy() if values is None else values
 
 
-def _plans(bag: Bag, spec: SemanticsSpec, level: np.ndarray):
+def _plans(bag: Bag, level: np.ndarray):
     # The sweep's plans over ``level``, one integer in [0, n) per argument,
     # made as the sweep reaches them: for each level with arguments with
     # parents (at aggregate 0 every influence returns w), its columns of the
-    # cached blocks, their arguments and influence constants. A block
+    # cached blocks, their arguments and their weights. A block
     # already in level order (always for one level) is used as it is, so
     # its plans hold views of its codes.
     bounds = np.arange(int(level.max(initial=0)) + 2)  # level j: [j, j + 1)
@@ -252,7 +244,6 @@ def _plans(bag: Bag, spec: SemanticsSpec, level: np.ndarray):
             at = np.argsort(key, kind="stable")
             pos, code, key = pos[at], code.take(at, axis=1), key[at]
         blocks.append((pos, code, np.searchsorted(key, bounds).tolist()))
-    consts = _influence_constants(spec, bag.weights)
     for j in range(bounds.size - 1):
         codes, rows = [], []
         for pos, code, ends in blocks:
@@ -262,15 +253,15 @@ def _plans(bag: Bag, spec: SemanticsSpec, level: np.ndarray):
                 rows.append(pos[lo:hi])
         if codes:
             rows = _joined(rows)
-            yield codes, rows, tuple(c[rows] for c in consts)
+            yield codes, rows, bag.weights[rows]
 
 
-def _update_plan(bag: Bag, spec: SemanticsSpec):
+def _update_plan(bag: Bag):
     # update's plans: those of one level holding every argument; shared by
-    # threads, so read-only
-    plans = tuple(_plans(bag, spec, np.zeros(bag.n, np.uint8)))
-    for _, rows, consts in plans:
-        for arr in (rows, *consts):
+    # threads and by every spec, so read-only
+    plans = tuple(_plans(bag, np.zeros(bag.n, np.uint8)))
+    for _, rows, w in plans:
+        for arr in (rows, w):
             arr.setflags(write=False)
     return plans
 
@@ -312,7 +303,7 @@ def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
     runs).
     """
     w, a = np.broadcast_arrays(np.asarray(w, float), np.asarray(a, float))
-    out = _influence(spec, _influence_constants(spec, w.ravel()), a.ravel())
+    out = _influence(spec, w.ravel(), a.ravel())
     return _same_shape(out.reshape(w.shape))
 
 
@@ -323,7 +314,7 @@ def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
     if x.shape != (bag.n,):
         raise ValueError(
             f"expected a state of {bag.n} strengths, got shape {x.shape}")
-    return _sweep(bag, spec, x, bag.memo(_update_plan, spec))
+    return _sweep(bag, spec, x, bag.memo(_update_plan))
 
 
 def update_levels(bag: Bag, spec: SemanticsSpec,
@@ -342,7 +333,7 @@ def update_levels(bag: Bag, spec: SemanticsSpec,
             level.dtype.kind in "iu" and 0 <= level.min() <= level.max() < n):
         raise ValueError(
             f"levels must hold one integer in [0, {n}) per argument")
-    return _sweep(bag, spec, bag.weights, _plans(bag, spec, level))
+    return _sweep(bag, spec, bag.weights, _plans(bag, level))
 
 
 # ---------------------------------------------------------------------------

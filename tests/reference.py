@@ -137,10 +137,13 @@ def _infl_linear(w: float, a: float, kappa: float) -> float:
         return w
     a = min(max(a, -kappa), kappa)  # absorb float round-off at the boundary
     if kappa <= _KAPPA_MIN:  # w / kappa overflows; |a / kappa| <= 1
-        return w + (w if a < 0.0 else 1.0 - w) * (a / kappa)
-    if a < 0.0:
-        return w + (w / kappa) * a
-    return w + ((1.0 - w) / kappa) * a
+        out = w + (w if a < 0.0 else 1.0 - w) * (a / kappa)
+    elif a < 0.0:
+        out = w + (w / kappa) * a
+    else:
+        out = w + ((1.0 - w) / kappa) * a
+    # w + (w / kappa) * a can round below 0 at a = -kappa
+    return min(max(out, 0.0), 1.0)
 
 
 def _infl_euler(w: float, a: float) -> float:

@@ -336,6 +336,38 @@ class TestRepresentation:
             Bag(["a", "b"], [0.5, float("nan")])
 
 
+class TestMemo:
+    """``bag.memo(build)`` calls ``build(bag)`` on first use only, and
+    returns what that call built every time after."""
+
+    def test_one_build_per_builder(self):
+        bag = three_node_cycle_bag()
+        calls = []
+
+        def fresh_list(b):
+            calls.append((fresh_list, b))
+            return [len(calls)]  # a new object per call
+
+        def empty(b):  # falsy, as the plan of a parentless Bag
+            calls.append((empty, b))
+            return ()
+
+        def nothing(b):
+            calls.append((nothing, b))
+
+        first = bag.memo(fresh_list)
+        for _ in range(3):
+            assert bag.memo(fresh_list) is first
+            assert bag.memo(empty) == ()
+            assert bag.memo(nothing) is None
+        assert first == [1]
+        assert [f for f, _ in calls] == [fresh_list, empty, nothing]
+        assert all(b is bag for _, b in calls)
+        other = three_node_cycle_bag()
+        assert other.memo(fresh_list) == [4]  # each Bag builds its own
+        assert bag.memo(fresh_list) is first
+
+
 def built(attacks, supports, n=3):
     """The Bag on n arguments, or the message of the BagValidationError."""
     try:

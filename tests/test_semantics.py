@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bagsolve import (
     Bag,
@@ -134,6 +134,12 @@ class TestInfluence:
 
     @given(specs(), st.floats(0, 1, allow_nan=False),
            st.floats(-8, 8, allow_nan=False))
+    # w + (w / kappa) * a rounds below 0 at a = -kappa for these weights
+    # (2.75e-70 itself rounds to 0; the next float up, to -3.2e-86)
+    @example(SemanticsSpec("sum", "linear", kappa=6.0), 0.9999999999999999,
+             -6.0)
+    @example(SemanticsSpec("sum", "linear", kappa=6.0), 2.7500000000000004e-70,
+             -6.0)
     def test_range_is_unit_interval(self, spec, w, a):
         if spec.influence == "linear":
             a = max(-spec.kappa, min(spec.kappa, a))
