@@ -193,7 +193,7 @@ def check_lipschitz_influence(spec: SemanticsSpec, trials: int = DEFAULT_TRIALS,
     return _sample(trials, seed, _influence_draw(spec, "a1", "a2"), evaluate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpenMindednessBound:
     """Per-argument interval that the final strength cannot leave.
 

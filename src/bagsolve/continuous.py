@@ -45,10 +45,10 @@ CYCLE_MIN_AMPLITUDE = 1e-7
 # the time budget ran out.
 ERROR_SHARE = 0.1
 
-# (state, update(state), time in steps of dt) -> the next state, a new array,
+# (state, update(state), steps of dt left) -> the next state, a new array,
 # clamped; the number m >= 1 of steps of dt it took; and the update of that
 # state, or None for the loop to make it
-Advance = Callable[[np.ndarray, np.ndarray, int],
+Advance = Callable[[np.ndarray, np.ndarray, float],
                    tuple[np.ndarray, int, Optional[np.ndarray]]]
 
 
@@ -59,23 +59,29 @@ def verify_fixed_point(bag: Bag, spec: SemanticsSpec,
     return float(np.abs(update(bag, spec, s) - s).max(initial=0.0)) <= tol
 
 
-def _check_run(dt: float, tolerance: float, *budgets: float) -> None:
+def _check_run(dt: float, tolerance: float, budget: float) -> float:
+    # The steps of dt a run with this budget takes: the first k >= 0 with
+    # k * dt >= budget, or inf from 2**52 steps on, which no run reaches.
     if not 0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
     dt = float(dt)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    for budget in budgets:
-        if budget != budget:  # only NaN differs from itself
-            raise ValueError(f"budget must be a number, got {budget}")
-        if not abs(budget) < np.inf:  # a run that never settles never ends
-            raise ValueError(f"budget must be finite, got {budget}")
-        # the clock stops at the first multiple of dt at or past the budget;
-        # where budget / dt passes float range, that is within dt of it
-        steps = float(budget) / dt
-        if abs(steps) < np.inf and not math.ceil(steps) * dt < np.inf:
-            raise ValueError(f"budget {budget} in steps of {dt} ends the run "
-                             f"at an infinite time")
+    if budget != budget:  # only NaN differs from itself
+        raise ValueError(f"budget must be a number, got {budget}")
+    if not abs(budget) <= float(np.finfo(float).max):  # a run that never ends
+        raise ValueError(f"budget must be finite, got {budget}")
+    budget = max(budget, 0)
+    quotient = float(budget) / dt
+    if not quotient < 2 ** 52:
+        return math.inf
+    # below 2**52 its ceiling is within one step of k; k * dt grows with k
+    steps = math.ceil(quotient)
+    steps += (steps * dt < budget) - ((steps - 1) * dt >= budget)
+    if not steps * dt < np.inf:
+        raise ValueError(f"budget {budget} in steps of {dt} ends the run "
+                         f"at an infinite time")
+    return steps
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
@@ -89,25 +95,25 @@ def _solve(bag: Bag, spec: SemanticsSpec, advance: Advance, dt: float,
     """The solver loop behind iterate and both integrators.
 
     Visits x_0 = weights and x_{k+1}, the state ``advance(x_k, update(x_k),
-    t_k / dt)`` reaches, at t_{k+1} = t_k + m * dt for the m >= 1 it took.
-    Each pass checks, in this order: period-2 oscillation (x_k within
-    CYCLE_EPS of x_{k-2}, over two steps of equal m, while x_{k-1} -> x_k
-    moved more than the tolerance), the budget (t_k >= budget, before any
-    work), then makes one update, unless the advance brought it, stops when
-    it moves no coordinate of x_k by more than the tolerance, and otherwise
-    advances. A converged run reports x_k at t_k, or, with
+    steps left)`` reaches, at t_{k+1} = t_k + m * dt for the m >= 1 it took.
+    Each pass checks, in this order: period-2 oscillation (x_k within CYCLE_EPS
+    of x_{k-2}, over two steps of equal m, while x_{k-1} -> x_k moved more than
+    the tolerance), the budget (no step left of the run's ``_check_run`` count,
+    before any work), then makes one update, unless the advance brought it,
+    stops when it moves no coordinate of x_k by more than the tolerance, and
+    otherwise advances. A converged run reports x_k at t_k, or, with
     ``report_update``, the advanced state. An advance that leaves an
     unconverged x_k bit-for-bit unchanged (a step size too small to move it)
-    ends the run as budget-exhausted at t_k: the loop is deterministic, so
-    it could never leave that state. The trajectory keeps one row per dt:
-    the grid points inside a step of m > 1 are interpolated, not visited.
+    ends the run as budget-exhausted at t_k: the loop is deterministic, so it
+    could never leave that state. The trajectory keeps one row per dt: the grid
+    points inside a step of m > 1 are interpolated, not visited.
     """
-    _check_run(dt, tolerance, budget)
+    stop = _check_run(dt, tolerance, budget)
     validate_spec(bag, spec)
 
     amplitude = max(tolerance, CYCLE_MIN_AMPLITUDE)
-    trajectory = Trajectory() if record_trajectory else None
     state = bag.weights.copy()
+    trajectory = Trajectory([0.0], [state]) if record_trajectory else None
     previous = two_back = updated = None
     move = 0.0  # max-norm of x_k - x_{k-1}: 0 exactly when they are equal
     units = 0  # time in multiples of dt
@@ -117,20 +123,18 @@ def _solve(bag: Bag, spec: SemanticsSpec, advance: Advance, dt: float,
         return SolveResult(outcome, state, units * dt,
                            divergence_evidence=evidence, trajectory=trajectory)
 
-    if trajectory is not None:
-        trajectory.append(0.0, state)
     while True:
         if (two_back is not None and same_size and move > amplitude
                 and np.abs(state - two_back).max(initial=0.0) <= CYCLE_EPS):
             return finish(Outcome.DIVERGED, (previous, state))
-        if units * dt >= budget:
+        if units >= stop:
             return finish(Outcome.BUDGET_EXHAUSTED)
         if updated is None:
             updated = update(bag, spec, state)
         converged = np.abs(updated - state).max(initial=0.0) <= tolerance
         if converged and not report_update:
             return finish(Outcome.CONVERGED)
-        stepped, m, reached = advance(state, updated, units)
+        stepped, m, reached = advance(state, updated, stop - units)
         move = np.abs(stepped - state).max(initial=0.0)
         if not converged and move == 0.0:
             return finish(Outcome.BUDGET_EXHAUSTED)
@@ -165,7 +169,7 @@ def _hermite(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray,
 def _lerp(delta: float) -> Advance:
     # With delta = 1 this is exactly update(state), which makes discrete
     # iteration the unit-step Euler run.
-    return lambda state, updated, units: (
+    return lambda state, updated, left: (
         _clamp((1.0 - delta) * state + delta * updated), 1, None)
 
 
@@ -236,9 +240,8 @@ def integrate_rk4(
     is always accepted, so no run takes more steps than the fixed one, and
     each step of one delta is bit-identical to it. A rejected step is tried
     again shorter from the same state. The next m follows the estimate's
-    third order, at most doubling, and never carries the run past the first
-    multiple of delta at or after ``t_max``. Rows inside a step are cubic
-    Hermite interpolants, not visited states.
+    third order, at most doubling, and never passes the fixed run's last
+    step. Rows inside a step are interpolated (cubic Hermite), not visited.
     """
     # The stages live in buffers made once per run. Stage states of a large
     # step can overshoot [0,1]; the derivative is evaluated on the clamped
@@ -267,15 +270,11 @@ def integrate_rk4(
     fit = 1  # the m the last error estimate allows
 
     def advance(state: np.ndarray, updated: np.ndarray,
-                units: int) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
+                left: float) -> tuple[np.ndarray, int, Optional[np.ndarray]]:
         nonlocal fit
         if not step_control:
             return _clamp(rk4(state, updated, delta)[0]), 1, None
-        m = fit
-        if (units + m - 1) * delta >= t_max:  # the fixed run stops sooner
-            m = max(1, min(m, math.ceil(t_max / delta) - units))
-            while m > 1 and (units + m - 1) * delta >= t_max:
-                m -= 1
+        m = min(fit, left)  # never past the fixed run's last step
         while True:
             h = m * delta
             stepped, k4 = rk4(state, updated, h)
@@ -306,13 +305,14 @@ def solve(bag: Bag, spec: SemanticsSpec, mode: str = "auto", *,
     ``acyclic`` and falls back to ``integrate_rk4`` with ``step_control`` on
     a cycle, reported as ``rk4``, so the graph is sorted only once; there
     ``delta`` is the shortest step and the trajectory's row spacing.
-    ``delta``, ``tolerance``, ``t_max`` and ``max_iterations`` are checked
-    in every mode, used or not, so that one set of flags is accepted or
-    refused whatever the graph.
+    ``delta``, ``tolerance``, ``t_max`` (in steps of ``delta``) and
+    ``max_iterations`` (in steps of 1) are checked in every mode, used or
+    not, so that one set of flags is accepted or refused whatever the graph.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _check_run(delta, tolerance, t_max, max_iterations)
+    _check_run(delta, tolerance, t_max)
+    _check_run(1, tolerance, max_iterations)
     if mode in ("auto", "acyclic"):
         try:
             strengths = discrete.solve_acyclic(bag, spec)

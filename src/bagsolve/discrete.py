@@ -54,7 +54,7 @@ def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
     return update_levels(bag, spec, levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceCertificate:
     """Per-argument contraction factors of the update map.
 

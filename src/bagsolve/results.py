@@ -1,4 +1,4 @@
-"""Solver outcome and trajectory containers shared by both engines."""
+"""Result and trajectory containers of the solvers in ``continuous``."""
 from __future__ import annotations
 
 import enum
@@ -14,7 +14,7 @@ class Outcome(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Sampled states over time.
 
@@ -35,7 +35,7 @@ class Trajectory:
         return len(self.times)
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """Result of an iterative or continuized solve.
 

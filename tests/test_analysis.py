@@ -84,6 +84,11 @@ class TestGenerateStar:
         assert generate_star(k, 0.9, 0.2) == reference.generate_star(
             k, 0.9, 0.2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_a_star_needs_a_leaf(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            generate_star(k, 0.9, 0.9)
+
 
 class TestDualityFixture:
     def test_shape(self):

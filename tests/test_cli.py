@@ -294,6 +294,20 @@ class TestBadInput:
         assert "Traceback" not in proc.stderr
         assert not csv.exists()
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_iteration_budget_past_float_range(self, family_file, mode):
+        # checked in steps of 1 in every mode; float() of it would overflow
+        proc = subprocess.run(
+            [sys.executable, "-m", "bagsolve.cli", "solve", family_file,
+             "--semantics", "qe", "--mode", mode,
+             "--max-iterations", str(10**400)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: budget must be finite, got 1000")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", [
         ["solve", "BAG"], ["certify", "BAG"], ["check", "lipschitz"],
         ["check", "open-mindedness", "BAG"]])

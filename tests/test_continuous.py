@@ -1,8 +1,9 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import bagsolve.continuous
 import bagsolve.discrete
@@ -23,6 +24,7 @@ from bagsolve import (
     integrate_euler,
     integrate_rk4,
     iterate,
+    open_mindedness_bound,
     parse_bag,
     qe,
     solve,
@@ -211,6 +213,110 @@ class TestSolverLoop:
         assert len(result.trajectory) == 1
 
 
+check_run = bagsolve.continuous._check_run
+
+
+class TestRunClock:
+    """_check_run turns a budget into the steps of dt the run takes: the
+    first k >= 0 with k * dt >= budget."""
+
+    def test_first_multiple_at_or_past_the_budget(self):
+        # 53 * 0.3 is a hair below 15.9, so ceil(15.9 / 0.3) is one short
+        assert 53 * 0.3 < 15.9 <= 54 * 0.3
+        assert check_run(0.3, 1e-4, 15.9) == 54
+        assert check_run(1, 1e-4, 2.5) == 3
+        assert check_run(2.0, 1e-4, 5e-324) == 1  # the quotient rounds to 0
+
+    @pytest.mark.parametrize("budget", [-5, 0, -0.0, -1e308])
+    def test_no_budget_is_no_steps(self, budget):
+        assert check_run(0.1, 1e-4, budget) == 0
+        assert check_run(1, 1e-4, budget) == 0
+
+    def test_more_steps_than_any_run_takes_are_never_reached(self):
+        assert check_run(1, 1e-4, 10**18) == math.inf
+        assert check_run(1e-300, 1e-4, 1.7e308) == math.inf
+        result = iterate(generate_star(3, 0.9, 0.9), qe(1.0),
+                         max_iterations=10**18)
+        assert result.converged
+
+    @given(st.floats(1e-6, 1e3), st.floats(-10.0, 1e6))
+    def test_is_the_first_multiple_of_dt(self, dt, budget):
+        k = check_run(dt, 1e-4, budget)
+        assert k * dt >= budget
+        assert k == 0 or (k - 1) * dt < budget
+
+    @given(st.floats(1e293, 1.7976931348623157e308),
+           st.floats(1e307, 1.7976931348623157e308))
+    def test_an_infinite_end_is_refused(self, dt, budget):
+        # near the top of float range the first multiple can be inf; these
+        # quotients stay below 2**52
+        first = next(j for j in range(max(0, math.ceil(budget / dt) - 2),
+                                      math.ceil(budget / dt) + 3)
+                     if j * dt >= budget)
+        if first * dt < math.inf:
+            assert check_run(dt, 1e-4, budget) == first
+        else:
+            with pytest.raises(ValueError, match="at an infinite time"):
+                check_run(dt, 1e-4, budget)
+
+    def test_advance_reads_the_steps_left(self):
+        lefts = []
+
+        def advance(state, updated, left):
+            lefts.append(left)
+            return state + 1e-3, max(1, min(5, left)), None
+
+        result = bagsolve.continuous._solve(FAMILY, qe(1.0), advance, 0.3,
+                                            1e-12, 15.9, False)
+        assert result.outcome is Outcome.BUDGET_EXHAUSTED
+        assert lefts == list(range(54, 0, -5))
+        assert result.effort == 54 * 0.3
+
+    def test_step_control_ends_with_the_steps_left(self, monkeypatch):
+        # every estimate passes, so m doubles until the budget cuts it:
+        # 1 + 2 + 4 + 8 + 16 steps of 0.3, then the 23 left to 54
+        monkeypatch.setattr(bagsolve.continuous, "ERROR_SHARE", math.inf)
+        sizes = []
+        real = bagsolve.continuous._hermite
+        monkeypatch.setattr(bagsolve.continuous, "_hermite",
+                            lambda *args: sizes.append(args[4])
+                            or real(*args))
+        result = integrate_rk4(RESCUE, qe(1.0), delta=0.3, tolerance=1e-12,
+                               t_max=15.9, step_control=True)
+        assert result.outcome is Outcome.BUDGET_EXHAUSTED
+        assert sizes == [2, 4, 8, 16, 23]
+        assert result.effort == 54 * 0.3
+        assert len(result.trajectory) == 55
+
+
+class TestResultObjects:
+    """Results hold arrays, so they compare by identity and hash."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: certify(FAMILY, qe(1.0)),
+        lambda: open_mindedness_bound(FAMILY, qe(1.0)),
+        lambda: solve(FAMILY, qe(1.0))[1],
+        lambda: solve(FAMILY, qe(1.0))[1].trajectory,
+    ], ids=["certificate", "open-mindedness", "result", "trajectory"])
+    def test_compare_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a in [b, a] and a not in [b]
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+    def test_trajectory_time_never_decreases(self):
+        trajectory = Trajectory()
+        trajectory.append(1.0, [0.5])
+        trajectory.append(1.0, [0.25])
+        with pytest.raises(ValueError, match="time must be nondecreasing, "
+                                             "got 0.5 after 1.0"):
+            trajectory.append(0.5, [0.5])
+        assert trajectory.times == [1.0, 1.0]
+        assert len(trajectory.states) == 2
+
+
 class TestVerifyFixedPoint:
     def test_rk4_limit_is_a_fixed_point(self):
         result = integrate_rk4(FAMILY, qe(1.0))
@@ -303,6 +409,12 @@ class TestSolve:
         (dict(t_max=float("inf")), "budget must be finite"),
         (dict(max_iterations=float("inf")), "budget must be finite"),
         (dict(delta=1e308, t_max=1.7e308), "at an infinite time"),
+        (dict(t_max=-float("inf")), "budget must be finite"),
+        (dict(t_max=10**400), "budget must be finite"),
+        (dict(max_iterations=10**400), "budget must be finite"),
+        # ceil(t_max / delta) is 33 and 33 * delta < t_max: 34 * delta is inf
+        (dict(delta=5.313896654326354e+306, t_max=1.753585895927697e+308),
+         "at an infinite time"),
     ])
     @pytest.mark.parametrize("mode", MODES)
     def test_run_flags_are_checked_in_every_mode(self, mode, flags, message):
