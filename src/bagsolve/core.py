@@ -97,7 +97,8 @@ class Bag:
         if len(set(names)) != len(names):
             dupes = sorted(x for x, c in Counter(names).items() if c > 1)
             raise BagValidationError(f"duplicate argument names: {dupes}")
-        weight_arr = np.array(weights, dtype=float)
+        # -0.0 + 0.0 is 0.0: a weight -0.0 would equal 0.0 but hash apart
+        weight_arr = np.array(weights, dtype=float) + 0.0
         if weight_arr.shape != (len(names),):
             raise BagValidationError(
                 f"expected {len(names)} weights, got shape {weight_arr.shape}"
@@ -155,10 +156,10 @@ class Bag:
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def memo(self, build: Callable[["Bag"], Any]) -> Any:
-        """``build(self)``, built on first use and kept with the Bag: the
-        update kernel's encoding of the edges and its plan, which no
-        semantics changes. An entry is never replaced: threads that build
-        one at once all get the first one stored."""
+        """``build(self)``, built on first use and kept with the Bag:
+        ``update``'s plan, which no semantics changes. An entry is never
+        replaced: threads that build one at once all get the first one
+        stored."""
         try:
             return self._memo[build]
         except KeyError:

@@ -39,8 +39,9 @@ def solve_acyclic(bag: Bag, spec: SemanticsSpec) -> np.ndarray:
     """Exact strengths for an acyclic BAG in one topological pass.
 
     Each topological level is evaluated once, after all of its parents are
-    final, by one sweep of the update kernel over the cached indegree
-    blocks, so the result is the exact limit of the update iteration.
+    final, by one sweep of the update kernel over indegree blocks sorted by
+    these levels and not kept on the Bag, so the result is the exact limit
+    of the update iteration.
     Raises CyclicGraphError when the graph has a cycle; use iterate or one
     of the integrators in ``continuous`` in that case.
     """

@@ -271,7 +271,8 @@ def write_trajectory_csv(
     names: Sequence[str],
     sink: Union[str, Path, IO[str]],
 ) -> None:
-    """Write one CSV row per sampled state, preceded by a ``t,<names...>`` header.
+    """Write one CSV row per sampled state, preceded by a ``t,<names...>`` header
+    (``t`` alone, and rows of the time alone, for no names).
 
     Values carry full round-trip precision. ``sink`` may be a path or an open
     text stream. A name outside ``[A-Za-z_][A-Za-z0-9_]*`` raises ValueError
@@ -285,13 +286,14 @@ def write_trajectory_csv(
         if len(state) != width:
             raise ValueError(
                 f"state arity {len(state)} does not match {width} names")
+    sep = "," if width else ""
     # one line at a time: the whole table as one string would take several
     # times the memory of the trajectory itself
     def rows():
-        yield "t," + ",".join(names) + "\n"
+        yield "t" + sep + ",".join(names) + "\n"
         for t, state in zip(trajectory.times, trajectory.states):
             row = _row_text(np.asarray(state, dtype=float))
-            yield _format_time(t) + "," + row + "\n"
+            yield _format_time(t) + sep + row + "\n"
 
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as out:

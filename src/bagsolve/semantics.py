@@ -102,34 +102,6 @@ PRESETS = {"dfq": dfq, "euler": euler_semantics, "qe": qe}
 # their update map (``_sweep``) are written once; ``aggregate`` and
 # ``influence`` run them on what the checks of ``analysis`` sample.
 
-def _indegree_blocks(bag: Bag) -> tuple[tuple[np.ndarray, ...], ...]:
-    # The edges as (pos, code) blocks, built once per Bag (``bag.memo``).
-    # Arguments whose indegrees have the same bit length share a block,
-    # positions ascending, padded to the largest indegree d among them: so
-    # there are at most max_indegree.bit_length() blocks, and fewer than
-    # 2 x edges slots. Row k of the C-contiguous (d, len(pos)) array ``code``
-    # codes each argument's k-th parent (CSR order) into the tables, and n
-    # pads a column of fewer than d parents.
-    n, starts, degree = bag.n, bag.indptr[:-1], np.diff(bag.indptr)
-    length = np.frexp(degree)[1]  # bit length; 0 for the parentless
-    blocks = []
-    for b in range(1, int(length.max(initial=0)) + 1):
-        pos = np.flatnonzero(length == b)
-        if not pos.size:
-            continue
-        k_th = np.arange(degree[pos].max())[:, None]
-        slots = k_th + starts[pos]
-        live = k_th < degree[pos]
-        slots[~live] = 0
-        at = bag.src[slots]
-        code = np.where(bag.sign[slots] < 0.0, at + (n + 1), at)
-        code[~live] = n
-        for arr in (pos, code):
-            arr.setflags(write=False)
-        blocks.append((pos, code))
-    return tuple(blocks)
-
-
 def _tables(kind: str, x: np.ndarray, tables=None, rows=slice(None)):
     # The tables of x, or ``tables`` with x entered for ``rows``: supporter
     # p at p, attacker p at n + 1 + p, the fold's identity elsewhere (so the
@@ -233,17 +205,33 @@ def _plans(bag: Bag, level: np.ndarray):
     # The sweep's plans over ``level``, one integer in [0, n) per argument,
     # made as the sweep reaches them: for each level with arguments with
     # parents (at aggregate 0 every influence returns w), its columns of the
-    # cached blocks, their arguments and their weights. A block
-    # already in level order (always for one level) is used as it is, so
-    # its plans hold views of its codes.
+    # indegree blocks, their arguments and their weights. Arguments whose
+    # indegrees have the same bit length share a block, sorted by (level,
+    # index) and padded to the largest indegree d among them: so there are
+    # at most max_indegree.bit_length() blocks, and fewer than 2 x edges
+    # slots. Row k of a block's (d, len(pos)) array ``code`` codes each
+    # argument's k-th parent (CSR order) into the tables, and n pads a
+    # column of fewer than d parents.
+    n, starts, degree = bag.n, bag.indptr[:-1], np.diff(bag.indptr)
+    length = np.frexp(degree)[1]  # bit length; 0 for the parentless
     bounds = np.arange(int(level.max(initial=0)) + 2)  # level j: [j, j + 1)
     blocks = []
-    for pos, code in bag.memo(_indegree_blocks):
-        key = level[pos]
-        if np.any(key[1:] < key[:-1]):  # not in level order
-            at = np.argsort(key, kind="stable")
-            pos, code, key = pos[at], code.take(at, axis=1), key[at]
-        blocks.append((pos, code, np.searchsorted(key, bounds).tolist()))
+    for b in range(1, int(length.max(initial=0)) + 1):
+        pos = np.flatnonzero(length == b)
+        if not pos.size:
+            continue
+        pos = pos[np.argsort(level[pos], kind="stable")]
+        k_th = np.arange(degree[pos].max())[:, None]
+        slots = k_th + starts[pos]
+        live = k_th < degree[pos]
+        slots[~live] = 0
+        at = bag.src[slots]
+        code = np.where(bag.sign[slots] < 0.0, at + (n + 1), at)
+        code[~live] = n
+        ends = np.searchsorted(level[pos], bounds).tolist()
+        blocks.append((pos, code, ends))
+        del slots, live, at  # the sweep holds only the blocks
+    del starts, degree, length
     for j in range(bounds.size - 1):
         codes, rows = [], []
         for pos, code, ends in blocks:
@@ -257,11 +245,12 @@ def _plans(bag: Bag, level: np.ndarray):
 
 
 def _update_plan(bag: Bag):
-    # update's plans: those of one level holding every argument; shared by
-    # threads and by every spec, so read-only
+    # update's plans: those of one level holding every argument; the only
+    # kernel entry kept on the Bag, shared by threads and by every spec, so
+    # read-only
     plans = tuple(_plans(bag, np.zeros(bag.n, np.uint8)))
-    for _, rows, w in plans:
-        for arr in (rows, w):
+    for codes, rows, w in plans:
+        for arr in (rows, w, *codes):
             arr.setflags(write=False)
     return plans
 

@@ -104,6 +104,20 @@ class TestSolve:
         assert strengths_from(out) == {"a": 0.5, "b": 0.25}
         assert "nan" not in out
 
+    @pytest.mark.parametrize("mode", ["auto", "discrete", "rk4", "euler"])
+    def test_negative_zero_weight_reads_as_zero(self, tmp_path, capsys, mode):
+        text = "arg(a,-0.0).\n"
+        assert parse_bag(text) == parse_bag("arg(a,0.0).\n")
+        assert hash(parse_bag(text)) == hash(parse_bag("arg(a,0.0).\n"))
+        assert serialize_bag(parse_bag(text)) == "arg(a,0.0).\n"
+        path = tmp_path / "zero.bag"
+        path.write_text(text)
+        code = cli.main(["solve", str(path), "--semantics", "qe",
+                         "--mode", mode])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "-0.000000" not in out and "0.000000  0.000000" in out
+
     def test_trajectory_export(self, family_file, tmp_path, capsys):
         target = tmp_path / "run.csv"
         code = cli.main(["solve", family_file, "--semantics", "dfq",

@@ -196,6 +196,13 @@ class TestValidation:
             Bag(["a", "b"], weights)
         assert str(err.value) == f"expected 2 weights, got shape {shape}"
 
+    def test_negative_zero_weight_is_zero(self):
+        # -0.0 == 0.0, so the two Bags are equal and must hash alike
+        zero, negative = Bag(["a"], [0.0]), Bag(["a"], [-0.0])
+        assert zero == negative and hash(zero) == hash(negative)
+        assert len({zero, negative}) == 1
+        assert not np.signbit(negative.weights).any()
+
     def test_duplicate_names(self):
         with pytest.raises(BagValidationError, match="duplicate"):
             Bag(["a", "a"], [0.5, 0.5])

@@ -1,3 +1,4 @@
+import csv
 import io as stdio
 import random
 import re
@@ -640,11 +641,14 @@ class TestTrajectoryRows:
             assert got == b"t,a\n0,0.5\n2.5,0.5\ninf,0.5\nnan,0.5\n"
 
     def test_empty_states(self, tmp_path):
+        # no names: the time column alone, with no empty column after it
         traj = Trajectory()
         traj.append(0, [])
         traj.append(1, [])
         for got in csv_bytes_of_every_sink(traj, [], tmp_path):
-            assert got == b"t,\n0,\n1,\n"
+            assert got == b"t\n0\n1\n"
+        with open(tmp_path / "rows.csv", newline="") as rows:
+            assert list(csv.reader(rows)) == [["t"], ["0"], ["1"]]
 
     @given(rows=st.lists(st.lists(st.sampled_from(
         [0.0, -0.0, 0.5, 1.0, 1 / 3, float("nan"), float("inf"), 5e-324,

@@ -168,51 +168,66 @@ def distinct_indegrees_bag(rng: np.random.Generator) -> Bag:
     return Bag([f"a{i}" for i in range(n)], rng.random(n), *edges)
 
 
-def assert_bit_length_blocks(bag: Bag) -> None:
+def plan_blocks(plan):
+    """(pos, code) of each indegree block in one level's plan
+    ``(codes, rows, w)``: its rows are the blocks' arguments in block
+    order."""
+    codes, rows, _ = plan
+    ends = np.cumsum([code.shape[1] for code in codes])[:-1]
+    return list(zip(np.split(rows, ends), codes))
+
+
+def cached_blocks(bag: Bag):
+    """The indegree blocks of ``update``'s plan, the one kept on the Bag."""
+    return [block for plan in bag.memo(semantics._update_plan)
+            for block in plan_blocks(plan)]
+
+
+def assert_bit_length_blocks(bag: Bag, blocks) -> None:
     """Each block holds the arguments of one indegree bit length, padded to
     the largest indegree among them; hence at most max_indegree.bit_length()
     blocks, and fewer slots than twice the edges."""
     degree = np.diff(bag.indptr)
     lengths, slots = [], 0
-    for pos, code in bag.memo(semantics._indegree_blocks):
+    for pos, code in blocks:
         classes = {int(d).bit_length() for d in degree[pos].tolist()}
         assert len(classes) == 1
         assert code.shape[0] == degree[pos].max()
         lengths += classes
         slots += code.size
     assert len(set(lengths)) == len(lengths)
-    assert (len(bag.memo(semantics._indegree_blocks))
-            <= max_indegree(bag).bit_length())
+    assert len(blocks) <= max_indegree(bag).bit_length()
     assert slots < 2 * bag.src.size or not bag.src.size
 
 
-def decode(bag: Bag):
-    """(pos, parents, signs, padding) of each block of ``bag``."""
+def decode(bag: Bag, blocks):
+    """(pos, parents, signs, padding) of each of ``blocks``."""
     n = bag.n
-    for pos, code in bag.memo(semantics._indegree_blocks):
+    for pos, code in blocks:
         attack = code > n
         parents = np.where(attack, code - (n + 1), code)
         yield pos, parents, np.where(attack, -1.0, 1.0), code == n
 
 
-class TestIndegreeBlocks:
-    def test_built_once_per_bag(self, monkeypatch):
-        # every build groups the indegrees once; the level sweep of
-        # solve_acyclic reads the same cached blocks as update
-        builds = []
-        real = semantics._indegree_blocks
-        monkeypatch.setattr(semantics, "_indegree_blocks",
-                            lambda bag: builds.append(1) or real(bag))
-        family = generate_family(3, 0.3, 0.8)
-        star = generate_star(10, 0.9, 0.4)
-        for agg in AGG_KINDS:
-            solve_acyclic(star, spec_for(agg, "euler", star))
-            for bag in (family, star):
-                spec = spec_for(agg, "euler", bag)
-                for s in states(bag, seed=2):
-                    update(bag, spec, s)
-        assert len(builds) == 2
+def assert_columns_are_csr_rows(bag: Bag, blocks) -> list:
+    """Column j of a block codes the parents of pos[j] in CSR order, then
+    the padding; the arguments of each block ascend. Returns them all."""
+    seen = []
+    for pos, parents, sign, pad in decode(bag, blocks):
+        assert parents.shape[1] == pos.size
+        assert pos.size and np.all(np.diff(pos) > 0)
+        for j, i in enumerate(pos.tolist()):
+            row = slice(bag.indptr[i], bag.indptr[i + 1])
+            live = ~pad[:, j]
+            # the padding, if any, ends the column
+            assert live.tolist() == sorted(live.tolist(), reverse=True)
+            assert parents[live, j].tolist() == bag.src[row].tolist()
+            assert sign[live, j].tolist() == bag.sign[row].tolist()
+        seen += pos.tolist()
+    return seen
 
+
+class TestIndegreeBlocks:
     def test_cache_takes_no_part_in_equality(self):
         filled = generate_family(3, 0.3, 0.8)
         fresh = generate_family(3, 0.3, 0.8)
@@ -224,33 +239,23 @@ class TestIndegreeBlocks:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_blocks_hold_every_edge_once_in_csr_order(self, name):
         bag = GRAPHS[name]
-        seen = []
-        for pos, parents, sign, pad in decode(bag):
-            d = parents.shape[0]
-            assert parents.shape == (d, pos.size) and parents.flags.c_contiguous
-            assert pos.size and np.all(np.diff(pos) > 0)
-            for j, i in enumerate(pos.tolist()):
-                row = slice(bag.indptr[i], bag.indptr[i + 1])
-                live = ~pad[:, j]
-                # the padding, if any, ends the column
-                assert live.tolist() == sorted(live.tolist(), reverse=True)
-                assert parents[live, j].tolist() == bag.src[row].tolist()
-                assert sign[live, j].tolist() == bag.sign[row].tolist()
-            seen += pos.tolist()
+        blocks = cached_blocks(bag)
+        assert all(code.flags.c_contiguous for _, code in blocks)
+        seen = assert_columns_are_csr_rows(bag, blocks)
         assert sorted(seen) == np.flatnonzero(np.diff(bag.indptr)).tolist()
 
     @given(bag=bags(max_n=12, max_edges=60))
     def test_blocks_are_bit_length_classes(self, bag):
-        assert_bit_length_blocks(bag)
+        assert_bit_length_blocks(bag, cached_blocks(bag))
 
     def test_bit_length_classes_of_fixed_graphs(self):
         # indegrees 1 | 2, 3 | 4 make three blocks, one per bit length
         small = Bag([f"a{i}" for i in range(5)], [0.5] * 5,
                     attacks={(j, i) for i in range(5) for j in range(i)})
-        assert len(small.memo(semantics._indegree_blocks)) == 3
+        assert len(cached_blocks(small)) == 3
         many = distinct_indegrees_bag(np.random.default_rng(6))
         for bag in (small, many, *GRAPHS.values()):
-            assert_bit_length_blocks(bag)
+            assert_bit_length_blocks(bag, cached_blocks(bag))
 
     def test_many_distinct_indegrees_share_few_blocks(self):
         # one block per indegree would make 300 blocks; the bit lengths of
@@ -258,12 +263,12 @@ class TestIndegreeBlocks:
         rng = np.random.default_rng(6)
         bag = distinct_indegrees_bag(rng)
         n = bag.n
-        assert len(bag.memo(semantics._indegree_blocks)) <= 30
+        assert len(cached_blocks(bag)) <= 30
         s = rng.random(n)
         # one level with arguments in several blocks
         rows = np.sort(rng.choice(n, size=100, replace=False))
         assert sum(np.isin(pos, rows).any()
-                   for pos, _ in bag.memo(semantics._indegree_blocks)) > 1
+                   for pos, _ in cached_blocks(bag)) > 1
         for agg in AGG_KINDS:
             spec = spec_for(agg, "linear", bag)
             assert np.array_equal(update(bag, spec, s),
@@ -271,6 +276,56 @@ class TestIndegreeBlocks:
             assert np.array_equal(update_levels(
                 bag, spec, first_level(bag, rows))[rows],
                                   scalar_update(bag, spec, bag.weights)[rows])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_level_plans_hold_their_level_in_bit_length_blocks(self, seed):
+        # indices drawn apart from the edges, so the levels of a DAG are
+        # not in index order; each level's plan builds its own columns
+        rng = np.random.default_rng(seed)
+        n = 60
+        rank = rng.permutation(n)  # an edge runs from lower to higher rank
+        edges = ([], [])
+        for v in range(n):
+            lower = np.flatnonzero(rank < rank[v])
+            for u in rng.permutation(lower)[:rng.integers(0, 9)].tolist():
+                edges[rng.random() < 0.5].append((u, v))
+        bag = Bag([f"a{i}" for i in range(n)], rng.random(n), *edges)
+        level, degree = topological_levels(bag), np.diff(bag.indptr)
+        assert np.any(np.diff(level.astype(int)) < 0)
+        done = []
+        for plan in semantics._plans(bag, level):
+            _, rows, w = plan
+            blocks = plan_blocks(plan)
+            at = level[rows]
+            assert np.all(at == at[0]) and (not done or at[0] > done[-1])
+            done.append(int(at[0]))
+            seen = assert_columns_are_csr_rows(bag, blocks)
+            assert sorted(seen) == np.flatnonzero(
+                (level == at[0]) & (degree > 0)).tolist()
+            # one block per bit length, padded to the largest indegree of
+            # the whole block, which may be in another level
+            lengths = [{int(d).bit_length()
+                        for d in (*degree[pos].tolist(), code.shape[0])}
+                       for pos, code in blocks]
+            assert all(len(one) == 1 for one in lengths)
+            assert len(set.union(*lengths)) == len(blocks)
+            assert_same_bits(w, bag.weights[rows])
+        assert len(done) == len(set(level[degree > 0].tolist()))
+
+    def test_only_update_plan_is_kept_on_the_bag(self):
+        # solve_acyclic and update_levels build their blocks per call and
+        # keep nothing; update keeps its plan, and nothing else
+        for bag in (generate_star(10, 0.9, 0.4), GRAPHS["random-1"]):
+            spec = spec_for("product", "linear", bag)
+            levels = random_levels(bag, np.random.default_rng(3))
+            fresh = Bag(bag.names, bag.weights, *relations(bag))
+            if topological_levels(fresh) is not None:
+                solve_acyclic(fresh, spec)
+            update_levels(fresh, spec, levels)
+            assert fresh._memo == {}
+            update(fresh, spec, bag.weights)
+            update_levels(fresh, spec, levels)
+            assert list(fresh._memo) == [semantics._update_plan]
 
 
 class TestEdgeCases:
@@ -571,20 +626,18 @@ class TestKernelCache:
     @pytest.mark.parametrize("name", ["lone-column", "star", "one-block"])
     def test_constants_are_read_only(self, name):
         # threads and specs share the plan, so no array of it may be
-        # written; it holds the cached codes, and the weights only of the
+        # written; it holds the codes, and the weights only of the
         # arguments with parents, in block order
         bag = BIT_GRAPHS[name]
-        blocks = bag.memo(semantics._indegree_blocks)
         for infl in INFL_KINDS:
             update(bag, SemanticsSpec("product", infl, kappa=6.0), bag.weights)
             (codes, rows, w), = bag.memo(semantics._update_plan)
             for arr in (rows, w, *codes):
                 assert not arr.flags.writeable
-            assert all(np.shares_memory(code, block[1])
-                       for code, block in zip(codes, blocks))
-            assert rows.tolist() == [i for pos, _ in blocks for i in pos]
-            assert sorted(rows.tolist()) == np.flatnonzero(
-                np.diff(bag.indptr)).tolist()
+            blocks = cached_blocks(bag)
+            assert_bit_length_blocks(bag, blocks)
+            seen = assert_columns_are_csr_rows(bag, blocks)
+            assert sorted(seen) == np.flatnonzero(np.diff(bag.indptr)).tolist()
             assert_same_bits(w, bag.weights[rows])
 
     def test_no_plan_without_parents(self):
