@@ -25,16 +25,16 @@ _PUBLIC = {
                   "aggregate", "codomain_bound", "dfq", "euler_semantics",
                   "influence", "lipschitz_aggregation", "lipschitz_influence",
                   "qe", "update", "update_levels", "validate_spec"),
-    "results": ("Outcome", "SolveResult", "Trajectory"),
-    "discrete": ("ConvergenceCertificate", "CyclicGraphError", "certify",
+    "discrete": ("ConvergenceCertificate", "CyclicGraphError",
+                 "OpenMindednessBound", "certify", "open_mindedness_bound",
                  "solve_acyclic"),
-    "continuous": ("MODES", "integrate_euler", "integrate_rk4", "iterate",
-                   "solve", "verify_fixed_point"),
-    "analysis": ("CheckReport", "OpenMindednessBound",
-                 "check_duality_aggregation", "check_duality_influence",
-                 "check_lipschitz_aggregation", "check_lipschitz_influence",
-                 "fixture_duality_bag", "generate_family", "generate_star",
-                 "open_mindedness_bound"),
+    "continuous": ("MODES", "Outcome", "SolveResult", "Trajectory",
+                   "integrate_euler", "integrate_rk4", "iterate", "solve",
+                   "verify_fixed_point"),
+    "analysis": ("CheckReport", "check_duality_aggregation",
+                 "check_duality_influence", "check_lipschitz_aggregation",
+                 "check_lipschitz_influence", "fixture_duality_bag",
+                 "generate_family", "generate_star"),
 }
 _SOURCE = {name: module for module, names in _PUBLIC.items() for name in names}
 

@@ -5,10 +5,10 @@ two-group family that drives discrete iteration into oscillation, attack
 stars for conservativeness studies, and the three-layer attack/support
 fixture whose mirrored argument pairs exercise duality.
 
-The checkers probe semantic properties numerically: duality (attacks and
-supports move strengths by mirrored amounts), the Lipschitz constants of
-the aggregation and influence (sampled, like duality, through the solve
-kernel), and open-mindedness bounds (how far a weight can move at all).
+The checkers probe semantic properties numerically, through the solve
+kernel: duality (attacks and supports move strengths by mirrored amounts)
+and the Lipschitz constants of the aggregation and influence. The analytic
+open-mindedness bound lives in ``discrete``.
 """
 from __future__ import annotations
 
@@ -23,11 +23,9 @@ from .core import Bag
 from .semantics import (
     SemanticsSpec,
     aggregate,
-    codomain_bound,
     influence,
     lipschitz_aggregation,
     lipschitz_influence,
-    validate_spec,
 )
 
 DEFAULT_TRIALS = 10_000
@@ -191,34 +189,3 @@ def check_lipschitz_influence(spec: SemanticsSpec, trials: int = DEFAULT_TRIALS,
                             out=np.zeros_like(step), where=step > 0)
         return ~(gap <= bound + LIPSCHITZ_SLACK), {"gap": gap, "bound": bound}
     return _sample(trials, seed, _influence_draw(spec, "a1", "a2"), evaluate)
-
-
-@dataclass(frozen=True, eq=False)
-class OpenMindednessBound:
-    """Per-argument interval that the final strength cannot leave.
-
-    The width is twice the aggregation codomain bound times the influence
-    Lipschitz constant, centered on the initial weight: a conservative
-    influence simply cannot move a weight further than that, no matter what
-    the parents do.
-    """
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def contains(self, strengths: np.ndarray, slack: float = 1e-12) -> bool:
-        s = np.asarray(strengths, dtype=float)
-        return bool(np.all(s >= self.lower - slack)
-                    and np.all(s <= self.upper + slack))
-
-
-def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
-    """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength
-    ([w_i, w_i] for a parentless argument)."""
-    validate_spec(bag, spec)
-    degree = np.diff(bag.indptr)  # 0 * inf (a subnormal kappa) is NaN
-    radii = np.multiply(codomain_bound(spec, degree),
-                        lipschitz_influence(spec, bag.weights),
-                        out=np.zeros(bag.n), where=degree > 0)
-    return OpenMindednessBound(bag.weights - radii, bag.weights + radii)
-

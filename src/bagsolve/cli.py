@@ -28,8 +28,8 @@ from . import analysis, continuous, discrete
 # topological_order is unused here but stays a name of this module, because
 # the benchmark's tracer (bench/run.py) patches cli.topological_order.
 from .core import Bag, topological_order  # noqa: F401
+from .continuous import Outcome, SolveResult
 from .io import BagParseError, parse_bag, serialize_bag, write_trajectory_csv
-from .results import Outcome, SolveResult
 from .semantics import (
     AGGREGATIONS,
     INFLUENCES,
@@ -59,8 +59,9 @@ def _add_semantics_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--influence", choices=INFLUENCES)
     p.add_argument("--kappa", type=float, default=1.0,
                    help="conservativeness of linear/pmax influence (default 1)")
-    p.add_argument("--p", type=int, default=2,
-                   help="exponent of the pmax influence (default 2)")
+    p.add_argument("--p", type=int,
+                   help="exponent of the pmax influence, with --semantics "
+                        "custom (default 2)")
 
 
 def _epsilon(text: str) -> float:
@@ -73,6 +74,11 @@ def _epsilon(text: str) -> float:
 
 def _build_spec(args) -> SemanticsSpec:
     if args.semantics != "custom":
+        for flag in ("aggregation", "influence", "p"):
+            if getattr(args, flag) is not None:
+                raise SemanticsConfigError(
+                    f"--{flag} does not apply to --semantics "
+                    f"{args.semantics}; use --semantics custom to set it")
         preset = PRESETS[args.semantics]
         if args.semantics == "euler":
             return preset()
@@ -80,8 +86,8 @@ def _build_spec(args) -> SemanticsSpec:
     if not args.aggregation or not args.influence:
         raise SemanticsConfigError(
             "--semantics custom needs both --aggregation and --influence")
-    return SemanticsSpec(args.aggregation, args.influence,
-                         kappa=args.kappa, p=args.p)
+    return SemanticsSpec(args.aggregation, args.influence, kappa=args.kappa,
+                         p=2 if args.p is None else args.p)
 
 
 def _load_bag(path: str) -> Bag:
@@ -200,7 +206,7 @@ def _check_open_mindedness(args, spec: SemanticsSpec) -> int:
               file=sys.stderr)
         return 1
     bag = _load_bag(args.input)
-    bound = analysis.open_mindedness_bound(bag, spec)
+    bound = discrete.open_mindedness_bound(bag, spec)
     _, result = continuous.solve(bag, spec, record_trajectory=False)
     if result.outcome is not Outcome.CONVERGED:
         print(f"open-mindedness: {result.outcome.value} — no final "

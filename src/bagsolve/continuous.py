@@ -11,18 +11,19 @@ reproduces the discrete iteration bit for bit.
 
 ``solve`` is the one place that picks a mode: exact single-pass evaluation
 for acyclic graphs, step-controlled RK4 on the flow otherwise, unless a mode
-is named.
+is named. All return a ``SolveResult`` (``Outcome``, optional ``Trajectory``).
 """
 from __future__ import annotations
 
+import enum
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import discrete
 from .core import Bag
-from .results import Outcome, SolveResult, Trajectory
 from .semantics import SemanticsSpec, update, validate_spec
 
 DEFAULT_DELTA = 0.01
@@ -44,6 +45,55 @@ CYCLE_MIN_AMPLITUDE = 1e-7
 # graphs parked at the stability limit, in a spurious steady state, until
 # the time budget ran out.
 ERROR_SHARE = 0.1
+
+
+class Outcome(enum.Enum):
+    CONVERGED = "converged"
+    DIVERGED = "diverged"
+    BUDGET_EXHAUSTED = "budget-exhausted"
+
+
+@dataclass(eq=False)
+class Trajectory:
+    """Sampled states over time.
+
+    ``times`` holds the iteration index for discrete runs and continuous time
+    for integrator runs; the first sample is always (0, initial weights).
+    """
+
+    times: list[float] = field(default_factory=list)
+    states: list[np.ndarray] = field(default_factory=list)
+
+    def append(self, t: float, state: np.ndarray) -> None:
+        if self.times and t < self.times[-1]:
+            raise ValueError(f"time must be nondecreasing, got {t} after {self.times[-1]}")
+        self.times.append(float(t))
+        self.states.append(np.asarray(state, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
+@dataclass(eq=False)
+class SolveResult:
+    """Result of an iterative or continuized solve.
+
+    ``strengths`` is the fixed point for converged runs and the last visited
+    state otherwise. ``effort`` counts update applications for discrete runs
+    and integrated time for continuous runs. A diverged result carries the two
+    alternating states that were detected as a cycle.
+    """
+
+    outcome: Outcome
+    strengths: np.ndarray
+    effort: float
+    divergence_evidence: Optional[tuple[np.ndarray, np.ndarray]] = None
+    trajectory: Optional[Trajectory] = None
+
+    @property
+    def converged(self) -> bool:
+        return self.outcome is Outcome.CONVERGED
+
 
 # (state, update(state), steps of dt left) -> the next state, a new array,
 # clamped; the number m >= 1 of steps of dt it took; and the update of that

@@ -1,17 +1,17 @@
-"""Discrete solving: exact acyclic evaluation and contraction certificates.
+"""Discrete solving: exact acyclic evaluation and the analytic bounds.
 
-Acyclic graphs are solved exactly in one pass along a topological order.
-Cyclic graphs need the iterative solvers in ``continuous`` (fixed-point
-iteration is their unit-step Euler case). When the per-argument Lipschitz
-products all stay below 1 the update map is a contraction, which yields a
-certificate with an a-priori iteration count for any target accuracy; the
-certificate also names the cheap max-indegree rule that covers it, if any.
+Acyclic graphs are solved exactly in one pass along a topological order,
+cyclic ones by the iterative solvers in ``continuous``. Per argument, the
+product of the aggregation's and the influence's Lipschitz constants is the
+contraction certificate's factor (all below 1: an a-priori iteration count
+for any accuracy); with the aggregation's codomain bound instead, it bounds
+how far the final strength can move from the weight: the paper's tradeoff.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .semantics import (
     PRODUCT,
     TOP,
     SemanticsSpec,
+    codomain_bound,
     lipschitz_aggregation,
     lipschitz_influence,
     update_levels,
@@ -109,15 +110,49 @@ def _indegree_rule(spec: SemanticsSpec, d: int) -> Optional[str]:
     return None
 
 
-def certify(bag: Bag, spec: SemanticsSpec) -> ConvergenceCertificate:
-    """Compute the contraction certificate for (bag, spec)."""
+def _lipschitz_products(bag: Bag, spec: SemanticsSpec,
+                        constant: Callable) -> np.ndarray:
+    # constant(spec, indegree) * lipschitz_influence(spec, weight), and 0
+    # without parents, where it could be 0 * inf (a subnormal kappa) = NaN
     validate_spec(bag, spec)
-    degree = np.diff(bag.indptr)  # 0 * inf (a subnormal kappa) is NaN
-    lams = np.multiply(lipschitz_aggregation(spec, degree),
+    degree = np.diff(bag.indptr)
+    return np.multiply(constant(spec, degree),
                        lipschitz_influence(spec, bag.weights),
                        out=np.zeros(bag.n), where=degree > 0)
+
+
+def certify(bag: Bag, spec: SemanticsSpec) -> ConvergenceCertificate:
+    """Compute the contraction certificate for (bag, spec)."""
+    lams = _lipschitz_products(bag, spec, lipschitz_aggregation)
     global_lambda = float(lams.max(initial=0.0))
     guaranteed = global_lambda < 1.0
     rule = ((_indegree_rule(spec, max_indegree(bag)) or "contraction")
             if guaranteed else "none")
     return ConvergenceCertificate(lams, global_lambda, guaranteed, rule)
+
+
+@dataclass(frozen=True, eq=False)
+class OpenMindednessBound:
+    """Per-argument interval that the final strength cannot leave.
+
+    The width is twice the aggregation codomain bound times the influence
+    Lipschitz constant, centered on the initial weight: a conservative
+    influence simply cannot move a weight further than that, no matter what
+    the parents do.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def contains(self, strengths: np.ndarray, slack: float = 1e-12) -> bool:
+        s = np.asarray(strengths, dtype=float)
+        return bool(np.all(s >= self.lower - slack)
+                    and np.all(s <= self.upper + slack))
+
+
+def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
+    """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength
+    ([w_i, w_i] for a parentless argument). Under ``sum`` aggregation B_i is
+    the indegree, so the radii are the certificate's per-argument factors."""
+    radii = _lipschitz_products(bag, spec, codomain_bound)
+    return OpenMindednessBound(bag.weights - radii, bag.weights + radii)

@@ -20,12 +20,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import count, filterfalse
 from pathlib import Path
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import Bag, BagValidationError
-from .results import Trajectory
+
+if TYPE_CHECKING:  # an annotation only: reading a BAG loads no solver
+    from .continuous import Trajectory
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # ASCII digits only: \d and float() also accept other scripts' digits.
@@ -61,10 +63,9 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: str = "error"
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class BagParseError(ValueError):

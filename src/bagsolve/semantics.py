@@ -263,10 +263,15 @@ def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
     the result is 0 whenever ``v`` is all zero. Given (m, n) arrays, one
     parent vector and one state per row, it returns the m aggregates. Each
     row is folded as ``update`` folds an argument: its supporters, then its
-    attackers, each by index, then the padding.
+    attackers, each by index, then the padding. An entry of ``v`` other
+    than -1, 0 or +1, or a strength outside [0, 1] or NaN, raises
+    ValueError.
     """
     rows = np.atleast_2d(v)
     x = np.asarray(s, dtype=float).reshape(rows.size)
+    _refuse("a parent entry must be -1, 0 or +1", rows,
+            np.isin(rows, (-1, 0, 1)))
+    _refuse("a strength must be in [0, 1]", x, (x >= 0.0) & (x <= 1.0))
     size, kind = x.size, spec.aggregation
     # codes into the tables of x; the padding sorts last as 2 size + 1
     at = np.arange(size).reshape(rows.shape)
@@ -289,11 +294,21 @@ def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
     of weight ``w`` and aggregate ``a``. An aggregate of 0 always returns
     ``w`` unchanged. The linear influence is only defined for |a| <= kappa
     and raises otherwise (validate_spec rules that out for well-configured
-    runs).
+    runs). A weight outside [0, 1] or NaN, or a NaN aggregate, raises
+    ValueError; an infinite aggregate saturates.
     """
     w, a = np.broadcast_arrays(np.asarray(w, float), np.asarray(a, float))
+    _refuse("a weight must be in [0, 1]", w, (w >= 0.0) & (w <= 1.0))
+    _refuse("an aggregate must not be NaN", a, a == a)
     out = _influence(spec, w.ravel(), a.ravel())
     return _same_shape(out.reshape(w.shape))
+
+
+def _refuse(rule: str, x: np.ndarray, ok: np.ndarray) -> None:
+    # ValueError naming the first entry of x that is not ok
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"{rule}, got {x.ravel()[bad[0]].item()!r}")
 
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:

@@ -213,6 +213,39 @@ class TestBadInput:
         assert cli.main(["solve", str(path), "--semantics", "dfq"]) == 1
         assert "utf-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "BAG"], ["certify", "BAG"],
+        ["check", "open-mindedness", "BAG"]])
+    @pytest.mark.parametrize("semantics", ["dfq", "euler", "qe"])
+    @pytest.mark.parametrize("flag, value", [
+        ("aggregation", "top"), ("influence", "euler"), ("p", "5")])
+    def test_preset_refuses_the_custom_flags(self, duality_file, capsys,
+                                             command, semantics, flag, value):
+        argv = [duality_file if a == "BAG" else a for a in command]
+        code = cli.main([*argv, "--semantics", semantics, "--kappa", "3",
+                         f"--{flag}", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: --{flag} does not apply to "
+                                f"--semantics {semantics}; use --semantics "
+                                f"custom to set it\n")
+        assert captured.out == ""
+
+    def test_preset_names_the_first_custom_flag(self, family_file, capsys):
+        code = cli.main(["solve", family_file, "--semantics", "qe", "--p",
+                         "5", "--aggregation", "top", "--influence", "euler"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --aggregation does not apply to --semantics qe")
+
+    def test_custom_p_defaults_to_two(self, family_file, capsys):
+        args = ["certify", family_file, "--kappa", "4"]
+        assert cli.main([*args, "--semantics", "qe"]) == 0
+        preset = capsys.readouterr().out
+        assert cli.main([*args, "--semantics", "custom", "--aggregation",
+                         "sum", "--influence", "pmax"]) == 0
+        assert capsys.readouterr().out == preset
+
     def test_zero_tolerance(self, family_file, capsys):
         code = cli.main(["solve", family_file, "--semantics", "qe",
                          "--tolerance", "0"])

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from bagsolve import (
     generate_family,
     generate_star,
     iterate,
+    open_mindedness_bound,
+    parse_bag,
     qe,
     solve_acyclic,
     update,
@@ -20,6 +25,7 @@ from bagsolve import (
 from conftest import bags, random_bag, specs
 
 FAMILY = generate_family(1, 0.9, 0.1)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestSolveAcyclic:
@@ -172,6 +178,41 @@ class TestCertify:
         large = SemanticsSpec("sum", infl, kappa=kappa * factor, p=p)
         assert certify(bag, large).global_lambda <= \
             certify(bag, small).global_lambda + 1e-15
+
+
+class TestTradeoffIdentity:
+    """Under sum aggregation the codomain bound and the Lipschitz constant of
+    the aggregation are both the indegree, so the open-mindedness interval
+    is w -/+ the certificate's per-argument factors, bit for bit: what
+    certifies convergence is what limits how far a weight can move."""
+
+    @staticmethod
+    def assert_identity(bag, spec):
+        spec = replace(spec, aggregation="sum")
+        lams = certify(bag, spec).per_argument_lambda
+        bound = open_mindedness_bound(bag, spec)
+        assert bound.lower.tobytes() == (bag.weights - lams).tobytes()
+        assert bound.upper.tobytes() == (bag.weights + lams).tobytes()
+
+    @given(bags(), specs())
+    def test_random_bags(self, bag, spec):
+        self.assert_identity(bag, spec)
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in FIXTURES.glob("*.bag")))
+    @pytest.mark.parametrize("spec", [
+        qe(1.0), qe(1e-320), euler_semantics(), SemanticsSpec("sum", "constant"),
+        SemanticsSpec("sum", "pmax", kappa=1e-320, p=3),
+        SemanticsSpec("sum", "linear", kappa=200.0)])
+    def test_fixtures(self, name, spec):
+        bag = parse_bag((FIXTURES / name).read_text(encoding="utf-8"))
+        self.assert_identity(bag, spec)
+
+    def test_subnormal_kappa(self):
+        bag = Bag(["a", "b"], [0.5, 0.25], attacks={(0, 1)})
+        self.assert_identity(bag, qe(1e-320))
+        assert open_mindedness_bound(bag, qe(1e-320)).lower.tolist() == [
+            0.5, -np.inf]
 
 
 class TestGuaranteeByCorollary:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bags
+from conftest import bags, fresh_python
 from reference import parent_vector, relations
 
 import bagsolve.io
@@ -196,7 +196,8 @@ class TestDiagnostics:
             parse_bag(text)
         diags = err.value.diagnostics
         assert any(fragment in d.message and d.line == line for d in diags), diags
-        assert all(d.severity == "error" for d in diags)
+        assert all(str(d) == f"{d.line}:{d.column}: error: {d.message}"
+                   for d in diags)
 
     def test_weight_out_of_range(self):
         self.assert_single_error("arg(a,1.5).", "outside [0,1]", 1)
@@ -669,3 +670,11 @@ class TestTrajectoryRows:
         out = stdio.StringIO()
         write_trajectory_csv(traj, bag.names, out)
         assert out.getvalue() == plain_csv(traj, bag.names)
+
+
+def test_import_loads_no_solver():
+    # io names the solver's Trajectory in an annotation only
+    out = fresh_python("import sys, bagsolve.io\n"
+                       "print(sorted(m for m in sys.modules "
+                       "if m.startswith('bagsolve')))")
+    assert out == "['bagsolve', 'bagsolve.core', 'bagsolve.io']\n"

@@ -146,6 +146,45 @@ class TestInfluence:
         assert 0.0 <= influence(spec, w, a) <= 1.0
 
 
+class TestDomain:
+    """``aggregate`` and ``influence`` refuse input outside their domain,
+    naming the first bad entry, instead of returning a value outside it."""
+
+    @pytest.mark.parametrize("spec, w, a, message", [
+        (euler_semantics(), 2.0, 1.0, "a weight must be in [0, 1], got 2.0"),
+        (qe(1.0), -1.0, 3.0, "a weight must be in [0, 1], got -1.0"),
+        (qe(1.0), float("nan"), 0.5, "a weight must be in [0, 1], got nan"),
+        (qe(1.0), [0.5, 0.2], [0.1, float("nan")],
+         "an aggregate must not be NaN, got nan"),
+        (euler_semantics(), [0.5, 1.5, -2.0], 0.0,
+         "a weight must be in [0, 1], got 1.5"),
+    ])
+    def test_influence_refuses(self, spec, w, a, message):
+        with pytest.raises(ValueError) as err:
+            influence(spec, w, a)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("spec, v, s, message", [
+        (qe(1.0), [2, 1], [0.5, 0.3], "a parent entry must be -1, 0 or +1, "
+                                      "got 2"),
+        (qe(1.0), [1, 0.5], [0.5, 0.3], "a parent entry must be -1, 0 or +1, "
+                                        "got 0.5"),
+        (dfq(1.0), [-1, 1], [2.0, -1.0], "a strength must be in [0, 1], "
+                                         "got 2.0"),
+        (TOP, [[1, 0], [1, -1]], [[0.5, 0.5], [0.2, float("nan")]],
+         "a strength must be in [0, 1], got nan"),
+    ])
+    def test_aggregate_refuses(self, spec, v, s, message):
+        with pytest.raises(ValueError) as err:
+            aggregate(spec, v, s)
+        assert str(err.value) == message
+
+    def test_infinite_aggregates_saturate(self):
+        assert influence(qe(1.0), 0.5, float("inf")) == 1.0
+        assert influence(euler_semantics(), 0.5, -float("inf")) == 0.25
+        assert influence(SUM, [0.0, 1.0], float("-inf")).tolist() == [0.0, 1.0]
+
+
 class TestArraysAndBatches:
     """``aggregate`` takes one parent vector or a batch of rows, and
     ``influence`` scalars or arrays; each is what one call per row or per
