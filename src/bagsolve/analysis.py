@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import Bag
 from .semantics import (
+    LINEAR,
     SemanticsSpec,
     aggregate,
     influence,
@@ -139,7 +140,7 @@ def _influence_draw(spec: SemanticsSpec, *names: str):
     # w and the aggregates ``names`` in the influence's domain, and within
     # max/2, so that rng.uniform's 2 * span is finite
     span = (min(spec.kappa, sys.float_info.max / 2)
-            if spec.influence == "linear" else 10.0)
+            if spec.influence == LINEAR else 10.0)
     return lambda rng: {"w": rng.random(), **{
         name: rng.uniform(-span, span) for name in names}}
 

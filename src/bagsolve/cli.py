@@ -8,6 +8,7 @@ parse, or configuration errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -30,13 +31,8 @@ from . import analysis, continuous, discrete
 from .core import Bag, topological_order  # noqa: F401
 from .continuous import Outcome, SolveResult
 from .io import BagParseError, parse_bag, serialize_bag, write_trajectory_csv
-from .semantics import (
-    AGGREGATIONS,
-    INFLUENCES,
-    PRESETS,
-    SemanticsConfigError,
-    SemanticsSpec,
-)
+from .semantics import (AGGREGATIONS, INFLUENCES, PRESETS,
+                        SemanticsConfigError, SemanticsSpec)
 
 
 # the most edges `generate` builds: while it builds them they take about 85 B
@@ -57,11 +53,12 @@ def _add_semantics_flags(p: argparse.ArgumentParser) -> None:
                         "--aggregation/--influence")
     p.add_argument("--aggregation", choices=AGGREGATIONS)
     p.add_argument("--influence", choices=INFLUENCES)
-    p.add_argument("--kappa", type=float, default=1.0,
-                   help="conservativeness of linear/pmax influence (default 1)")
+    p.add_argument("--kappa", type=float,
+                   help="conservativeness of linear/pmax influence "
+                        f"(default {SemanticsSpec.kappa:g})")
     p.add_argument("--p", type=int,
                    help="exponent of the pmax influence, with --semantics "
-                        "custom (default 2)")
+                        f"custom (default {SemanticsSpec.p})")
 
 
 def _epsilon(text: str) -> float:
@@ -73,21 +70,24 @@ def _epsilon(text: str) -> float:
 
 
 def _build_spec(args) -> SemanticsSpec:
-    if args.semantics != "custom":
-        for flag in ("aggregation", "influence", "p"):
-            if getattr(args, flag) is not None:
-                raise SemanticsConfigError(
-                    f"--{flag} does not apply to --semantics "
-                    f"{args.semantics}; use --semantics custom to set it")
-        preset = PRESETS[args.semantics]
-        if args.semantics == "euler":
-            return preset()
-        return preset(kappa=args.kappa)
-    if not args.aggregation or not args.influence:
-        raise SemanticsConfigError(
-            "--semantics custom needs both --aggregation and --influence")
-    return SemanticsSpec(args.aggregation, args.influence, kappa=args.kappa,
-                         p=2 if args.p is None else args.p)
+    """The spec of the semantics flags that were set; every default is the
+    library's. ``custom`` takes all four, a preset those its signature names,
+    and the first other one set, in the order below, is refused."""
+    given = {flag: getattr(args, flag)
+             for flag in ("aggregation", "influence", "p", "kappa")
+             if getattr(args, flag) is not None}
+    if args.semantics == "custom":
+        if not args.aggregation or not args.influence:
+            raise SemanticsConfigError(
+                "--semantics custom needs both --aggregation and --influence")
+        return SemanticsSpec(**given)
+    preset = PRESETS[args.semantics]
+    for flag in given:
+        if flag not in inspect.signature(preset).parameters:
+            raise SemanticsConfigError(
+                f"--{flag} does not apply to --semantics {args.semantics}; "
+                f"use --semantics custom to set it")
+    return preset(**given)
 
 
 def _load_bag(path: str) -> Bag:

@@ -306,18 +306,20 @@ def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
 
 def _refuse(rule: str, x: np.ndarray, ok: np.ndarray) -> None:
     # ValueError naming the first entry of x that is not ok
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"{rule}, got {x.ravel()[bad[0]].item()!r}")
+    if not ok.all():
+        raise ValueError(f"{rule}, got {x.ravel()[np.argmin(ok)].item()!r}")
 
 
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
-    """One synchronous update of every argument from the old state ``s``, one
-    strength each (else ValueError): the sweep of one level, from ``s``."""
+    """One synchronous update of every argument from the old state ``s``: the
+    sweep of one level, from ``s``. ``s`` must hold one strength per argument
+    and no NaN, else ValueError; finite strengths outside [0, 1] are taken
+    as they are (the Euler-based influence saturates past the exp range)."""
     x = np.asarray(s, dtype=float)
     if x.shape != (bag.n,):
         raise ValueError(
             f"expected a state of {bag.n} strengths, got shape {x.shape}")
+    _refuse("a strength must not be NaN", x, x == x)
     return _sweep(bag, spec, x, bag.memo(_update_plan))
 
 

@@ -246,6 +246,35 @@ class TestBadInput:
                          "sum", "--influence", "pmax"]) == 0
         assert capsys.readouterr().out == preset
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "BAG"], ["certify", "BAG"],
+        ["check", "open-mindedness", "BAG"], ["check", "duality"],
+        ["check", "lipschitz"]])
+    @pytest.mark.parametrize("kappa", ["1", "50"])
+    def test_euler_refuses_kappa(self, star_file, capsys, command, kappa):
+        # euler_semantics() takes no kappa, so an explicit one, even the
+        # default, is refused
+        argv = [star_file if a == "BAG" else a for a in command]
+        code = cli.main([*argv, "--semantics", "euler", "--kappa", kappa])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: --kappa does not apply to --semantics "
+                                "euler; use --semantics custom to set it\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("semantics", [
+        ["--semantics", "dfq"], ["--semantics", "qe"],
+        ["--semantics", "custom", "--aggregation", "top",
+         "--influence", "linear"]])
+    def test_kappa_defaults_to_one(self, family_file, capsys, semantics):
+        args = ["certify", family_file, *semantics]
+        assert cli.main(args) == 0
+        default = capsys.readouterr().out
+        assert cli.main([*args, "--kappa", "1"]) == 0
+        assert capsys.readouterr().out == default
+        assert cli.main([*args, "--kappa", "2"]) == 0
+        assert capsys.readouterr().out != default
+
     def test_zero_tolerance(self, family_file, capsys):
         code = cli.main(["solve", family_file, "--semantics", "qe",
                          "--tolerance", "0"])

@@ -19,6 +19,7 @@ from bagsolve import (
     update,
     update_levels,
     validate_spec,
+    verify_fixed_point,
 )
 from bagsolve.analysis import generate_star
 from conftest import bags, specs
@@ -178,6 +179,26 @@ class TestDomain:
         with pytest.raises(ValueError) as err:
             aggregate(spec, v, s)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("state", [
+        [0.5, float("nan")], [float("nan"), 0.5], [float("nan")] * 2])
+    def test_update_refuses_nan_states(self, state):
+        bag, message = generate_star(1, 0.9, 0.9), "strength must not be NaN"
+        for spec in (euler_semantics(), qe(1.0), dfq(1.0)):
+            with pytest.raises(ValueError, match=message):
+                update(bag, spec, state)
+            with pytest.raises(ValueError, match=message):
+                verify_fixed_point(bag, spec, np.array(state), 1e-3)
+
+    def test_update_takes_finite_states_outside_the_unit_interval(self):
+        # the leaf's strength of -800 or 800 drives the center's aggregate
+        # past either end of the exp range, where the Euler-based influence
+        # saturates
+        bag = generate_star(1, 0.9, 0.9)
+        assert update(bag, euler_semantics(), [0.5, 800.0]).tolist() == [
+            0.81, 0.9]
+        assert update(bag, euler_semantics(), [0.5, -800.0]).tolist() == [
+            1.0, 0.9]
 
     def test_infinite_aggregates_saturate(self):
         assert influence(qe(1.0), 0.5, float("inf")) == 1.0
