@@ -293,9 +293,8 @@ def integrate_rk4(
     third order, at most doubling, and never passes the fixed run's last
     step. Rows inside a step are interpolated (cubic Hermite), not visited.
     """
-    # The stages live in buffers made once per run. Stage states of a large
-    # step can overshoot [0,1]; the derivative is evaluated on the clamped
-    # state so influences stay in their domain.
+    # The stages live in buffers made once per run. A large step's stage
+    # state can leave [0, 1], which update refuses, so it is clamped.
     k1, k2, k3, x = (np.empty(bag.n) for _ in range(4))
 
     def slope(state: np.ndarray, k: np.ndarray, h: float,

@@ -57,13 +57,11 @@ class SemanticsSpec:
         if self.aggregation not in AGGREGATIONS:
             raise SemanticsConfigError(
                 f"unknown aggregation {self.aggregation!r}; "
-                f"expected one of {AGGREGATIONS}"
-            )
+                f"expected one of {AGGREGATIONS}")
         if self.influence not in INFLUENCES:
             raise SemanticsConfigError(
                 f"unknown influence {self.influence!r}; "
-                f"expected one of {INFLUENCES}"
-            )
+                f"expected one of {INFLUENCES}")
         if self.influence in (LINEAR, PMAX) and not self.kappa > 0:
             raise SemanticsConfigError(f"kappa must be positive, got {self.kappa}")
         if self.influence == PMAX:
@@ -264,14 +262,14 @@ def aggregate(spec: SemanticsSpec, v, s) -> float | np.ndarray:
     parent vector and one state per row, it returns the m aggregates. Each
     row is folded as ``update`` folds an argument: its supporters, then its
     attackers, each by index, then the padding. An entry of ``v`` other
-    than -1, 0 or +1, or a strength outside [0, 1] or NaN, raises
-    ValueError.
+    than -1, 0 or +1, or a strength outside [0, 1] or NaN (the domain
+    ``update`` checks too), raises ValueError.
     """
     rows = np.atleast_2d(v)
     x = np.asarray(s, dtype=float).reshape(rows.size)
     _refuse("a parent entry must be -1, 0 or +1", rows,
             np.isin(rows, (-1, 0, 1)))
-    _refuse("a strength must be in [0, 1]", x, (x >= 0.0) & (x <= 1.0))
+    _refuse_strengths(x)
     size, kind = x.size, spec.aggregation
     # codes into the tables of x; the padding sorts last as 2 size + 1
     at = np.arange(size).reshape(rows.shape)
@@ -310,16 +308,18 @@ def _refuse(rule: str, x: np.ndarray, ok: np.ndarray) -> None:
         raise ValueError(f"{rule}, got {x.ravel()[np.argmin(ok)].item()!r}")
 
 
+def _refuse_strengths(x: np.ndarray) -> None:  # aggregate's and update's
+    _refuse("a strength must be in [0, 1]", x, (x >= 0.0) & (x <= 1.0))
+
+
 def update(bag: Bag, spec: SemanticsSpec, s: Sequence[float]) -> np.ndarray:
-    """One synchronous update of every argument from the old state ``s``: the
-    sweep of one level, from ``s``. ``s`` must hold one strength per argument
-    and no NaN, else ValueError; finite strengths outside [0, 1] are taken
-    as they are (the Euler-based influence saturates past the exp range)."""
+    """One synchronous update of every argument from the old state ``s``, one
+    strength in [0, 1] per argument (else ValueError): a one-level sweep."""
     x = np.asarray(s, dtype=float)
     if x.shape != (bag.n,):
         raise ValueError(
             f"expected a state of {bag.n} strengths, got shape {x.shape}")
-    _refuse("a strength must not be NaN", x, x == x)
+    _refuse_strengths(x)
     return _sweep(bag, spec, x, bag.memo(_update_plan))
 
 

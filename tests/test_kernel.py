@@ -372,11 +372,15 @@ class TestEdgeCases:
         assert solve_acyclic(bag, spec).tolist() == [0.5, 0.25]
 
     def test_euler_saturates_above_exp_range(self):
-        bag = Bag(["s", "t", "u"], [1.0, 0.4, 0.0], supports={(0, 1), (0, 2)})
+        # 710 supporters at strength 1 give t and u the aggregate 710, past
+        # the exp range
+        bag = Bag([*(f"s{i}" for i in range(710)), "t", "u"],
+                  [1.0] * 710 + [0.4, 0.0],
+                  supports=[(i, v) for i in range(710) for v in (710, 711)])
         spec = SemanticsSpec("sum", "euler")
-        s = [800.0, 0.0, 0.0]
-        assert update(bag, spec, s).tolist() == [1.0, 1.0, 0.0]
-        assert scalar_update(bag, spec, s).tolist() == [1.0, 1.0, 0.0]
+        for out in (update(bag, spec, bag.weights),
+                    scalar_update(bag, spec, bag.weights)):
+            assert out.tolist() == [1.0] * 711 + [0.0]
 
 
 def reference_influence(spec: SemanticsSpec, w: np.ndarray,
@@ -495,19 +499,45 @@ class TestBitIdentity:
         assert_same_bits(update_levels(bag, spec, levels),
                          reference_levels(bag, spec, levels))
 
-    @pytest.mark.parametrize("agg", AGG_KINDS)
-    def test_euler_beyond_the_exp_range(self, agg):
-        # strengths of 800 give aggregates above 709 (saturated), below
-        # -709 and exactly 0; at the weight 1e-300 the formula itself would
-        # stay below 1 at a = 709, so only the saturation gives 1
-        bag = Bag(["s", "t", "u", "v", "z"], [1.0, 0.4, 0.0, 0.7, 1e-300],
-                  attacks={(1, 3)},
-                  supports={(0, 1), (0, 2), (0, 3), (0, 4)})
-        spec = SemanticsSpec(agg, "euler")
-        for s in ([800.0, 0.0, 0.0, 0.0, 0.0], [800.0, 800.0, 0.0, 0.0, 0.0],
-                  [0.0, 800.0, 0.5, 0.5, 0.5], [709.5, 0.0, 0.0, 0.0, 0.0]):
+    @given(bag=bags(max_n=9, max_edges=40), spec=specs(max_parents=9),
+           data=st.data())
+    def test_update_refuses_exactly_the_states_outside_the_unit_interval(
+            self, bag, spec, data):
+        # a state in [0, 1] gives the reference's bits; one with entries
+        # outside it or NaN is refused, naming the first of them
+        s = data.draw(st.lists(st.floats(0, 1), min_size=bag.n,
+                               max_size=bag.n))
+        for i in data.draw(st.lists(st.integers(0, bag.n - 1), max_size=2)):
+            s[i] = data.draw(st.floats().filter(lambda x: not 0 <= x <= 1))
+        outside = [x for x in s if not 0.0 <= x <= 1.0]
+        if not outside:
             assert_same_bits(update(bag, spec, s),
                              reference_update(bag, spec, s))
+            return
+        with pytest.raises(ValueError) as err:
+            update(bag, spec, s)
+        assert str(err.value) == (
+            f"a strength must be in [0, 1], got {outside[0]!r}")
+
+    def test_euler_beyond_the_exp_range(self):
+        # 710 parents, at strength 1 or 709 of them at 1 and one at 0.5,
+        # support t and z and attack u: the aggregates 710 and 709.5 are
+        # saturated, and -710 and -709.5 lie below the exp range. At the
+        # weight 1e-300 the formula itself would stay below 1 at a = 709,
+        # so only the saturation gives 1. Only sum leaves [-1, 1] from
+        # states in [0, 1].
+        m = 710
+        bag = Bag([*(f"p{i}" for i in range(m)), "t", "u", "z"],
+                  [1.0] * m + [0.4, 0.4, 1e-300],
+                  attacks=[(i, m + 1) for i in range(m)],
+                  supports=[(i, v) for i in range(m) for v in (m, m + 2)])
+        spec = SemanticsSpec("sum", "euler")
+        rows = [m, m + 1, m + 2]
+        for s in (bag.weights, np.where(np.arange(m + 3) == 0, 0.5, 1.0)):
+            out = update(bag, spec, s)
+            assert_same_bits(out[:m], bag.weights[:m])
+            assert_same_bits(out[rows], reference_update(bag, spec, s, rows))
+            assert out[rows].tolist() == [1.0, 1.0 - (1.0 - 0.4 * 0.4), 1.0]
 
     @pytest.mark.parametrize("agg", AGG_KINDS)
     @pytest.mark.parametrize("infl", ["linear", "pmax"])

@@ -8,6 +8,12 @@ constant influences (1 - iota_{1-w}(a) = iota_w(-a)), so each step of every
 mode keeps sigma(mirror) = 1 - sigma(a) up to round-off: the identity holds
 for every outcome and every trajectory row, not only at a fixed point. The
 Euler-based influence is not dual, and breaks it.
+
+Directionality: an appended childless argument changes no other strength,
+in no trajectory row. Relabeling: permuting the arguments permutes the
+exact strengths. Monotonicity on DAGs: one more supporter never lowers a
+childless argument's exact strength, one more attacker never raises it.
+Open-mindedness: a converged result lies in ``open_mindedness_bound``.
 """
 import numpy as np
 import pytest
@@ -19,8 +25,10 @@ from bagsolve import (
     SemanticsSpec,
     dfq,
     euler_semantics,
+    open_mindedness_bound,
     qe,
     solve,
+    solve_acyclic,
 )
 from conftest import bags, random_bag, specs
 
@@ -29,15 +37,20 @@ DUAL_INFLUENCES = ("linear", "pmax", "constant")
 BUDGET = dict(delta=0.1, t_max=10.0, max_iterations=30)
 
 
+def edges_of(bag: Bag) -> dict:
+    """The attacks ("att") and the supports ("sup") of ``bag``, each as an
+    array of (source, target) rows."""
+    target = np.repeat(np.arange(bag.n), np.diff(bag.indptr))
+    attack = bag.sign < 0.0
+    return {sign: np.column_stack((bag.src[picked], target[picked]))
+            for sign, picked in (("att", attack), ("sup", ~attack))}
+
+
 def mirrored(bag: Bag) -> Bag:
     """``bag`` with a childless mirror of each argument appended: argument
     n + i has the parents of i, attack and support swapped, and weight
     1 - w_i."""
-    n = bag.n
-    target = np.repeat(np.arange(n), np.diff(bag.indptr))
-    attack = bag.sign < 0.0
-    edges = {sign: np.column_stack((bag.src[picked], target[picked]))
-             for sign, picked in (("att", attack), ("sup", ~attack))}
+    n, edges = bag.n, edges_of(bag)
     mirror = {sign: pairs + (0, n) for sign, pairs in edges.items()}
     return Bag([*bag.names, *(f"mirror_{name}" for name in bag.names)],
                np.concatenate((bag.weights, 1.0 - bag.weights)),
@@ -106,3 +119,102 @@ def test_euler_influence_breaks_mirror_duality(mode):
     bag = random_bag(np.random.default_rng(7), n_max=40)
     _, states = mirror_run(bag, euler_semantics(), mode)
     assert duality_gap(bag.n, states) > 1e-3
+
+
+def grown(bag: Bag, weight: float, parents) -> Bag:
+    """``bag`` with a childless argument n of ``weight`` appended, attacked
+    by each p of a pair (p, True) in ``parents`` and supported by each p of
+    a pair (p, False)."""
+    n, edges = bag.n, edges_of(bag)
+    new = np.array([(p, n) for p, _ in parents], dtype=int).reshape(-1, 2)
+    attack = np.array([attack for _, attack in parents], dtype=bool)
+    return Bag([*bag.names, "new"], [*bag.weights, weight],
+               attacks=np.concatenate((edges["att"], new[attack])),
+               supports=np.concatenate((edges["sup"], new[~attack])))
+
+
+def relabeled(bag: Bag, order: np.ndarray) -> Bag:
+    """``bag`` with argument i moved to position order[i]."""
+    back, edges = np.argsort(order), edges_of(bag)
+    return Bag([bag.names[i] for i in back], bag.weights[back],
+               attacks=order[edges["att"]], supports=order[edges["sup"]])
+
+
+def leaf_parents(n: int, max_size: int):
+    """Distinct parents for an appended argument: (index, is attack)."""
+    return st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                    max_size=max_size, unique_by=lambda pair: pair[0])
+
+
+@pytest.mark.parametrize("mode", ("acyclic", "discrete", "euler", "rk4"))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_a_childless_argument_changes_no_other_strength(mode, data):
+    # every row both runs reach keeps the old columns bit for bit; the new
+    # argument may end the run at another row, through the stopping test.
+    # Step-controlled rk4 (auto) is left out: its step sizes read every
+    # argument.
+    bag = data.draw(bags(max_n=6, max_edges=14, acyclic=mode == "acyclic"))
+    spec = data.draw(specs())
+    parents = data.draw(leaf_parents(bag.n, bag.n))
+    more = grown(bag, data.draw(st.floats(0, 1)), parents)
+    old = solve(bag, spec, mode, **BUDGET)[1].trajectory
+    new = solve(more, spec, mode, **BUDGET)[1].trajectory
+    rows = min(len(old), len(new))
+    assert old.times[:rows] == new.times[:rows]
+    for before, after in zip(old.states[:rows], new.states[:rows]):
+        assert before.tobytes() == after[:bag.n].tobytes()
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_relabeling_permutes_the_strengths(data):
+    # a sum or product folds its parents in source order, so a few ulps
+    bag = data.draw(bags(max_n=8, max_edges=20, acyclic=True))
+    spec = data.draw(specs())
+    order = np.array(data.draw(st.permutations(range(bag.n))), dtype=int)
+    moved = solve_acyclic(relabeled(bag, order), spec)
+    assert np.abs(moved[order] - solve_acyclic(bag, spec)).max() <= 1e-12
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_one_more_parent_moves_a_childless_argument_its_way(data):
+    # the Euler-based influence 1 - (1 - w^2) / (1 + w e^a) cancels to 0
+    # for a weight below ~1e-16, under the argument's own weight, so
+    # within 1e-12 as in the relabeling test
+    bag = data.draw(bags(max_n=6, max_edges=14, acyclic=True))
+    spec = data.draw(specs())
+    parents = data.draw(leaf_parents(bag.n, bag.n - 1))
+    extra = data.draw(st.sampled_from(sorted(set(range(bag.n))
+                                             - dict(parents).keys())))
+    attack = data.draw(st.booleans())
+    w = data.draw(st.floats(0, 1))
+    before = solve_acyclic(grown(bag, w, parents), spec)[-1]
+    after = solve_acyclic(grown(bag, w, [*parents, (extra, attack)]), spec)[-1]
+    move = before - after if attack else after - before
+    assert move >= -1e-12
+
+
+@pytest.mark.parametrize("mode", ("auto", "discrete", "euler", "rk4"))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_converged_results_keep_open_mindedness(mode, data):
+    bag = data.draw(bags(max_n=6, max_edges=14))
+    spec = data.draw(specs())
+    _, result = solve(bag, spec, mode, delta=0.1, t_max=100.0,
+                      max_iterations=300, record_trajectory=False)
+    if result.converged:
+        assert open_mindedness_bound(bag, spec).contains(result.strengths,
+                                                         slack=1e-12)
+
+
+@pytest.mark.parametrize("mode", ("auto", "discrete", "euler", "rk4"))
+@pytest.mark.parametrize("name", [*SPECS, "euler"])
+def test_open_mindedness_on_a_larger_graph(name, mode):
+    bag = random_bag(np.random.default_rng(7), n_max=40)
+    spec = SPECS.get(name) or euler_semantics()
+    _, result = solve(bag, spec, mode, record_trajectory=False)
+    assert result.converged
+    assert open_mindedness_bound(bag, spec).contains(result.strengths,
+                                                     slack=1e-12)

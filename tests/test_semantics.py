@@ -183,22 +183,25 @@ class TestDomain:
     @pytest.mark.parametrize("state", [
         [0.5, float("nan")], [float("nan"), 0.5], [float("nan")] * 2])
     def test_update_refuses_nan_states(self, state):
-        bag, message = generate_star(1, 0.9, 0.9), "strength must not be NaN"
+        bag, message = generate_star(1, 0.9, 0.9), r"in \[0, 1\], got nan"
         for spec in (euler_semantics(), qe(1.0), dfq(1.0)):
             with pytest.raises(ValueError, match=message):
                 update(bag, spec, state)
             with pytest.raises(ValueError, match=message):
                 verify_fixed_point(bag, spec, np.array(state), 1e-3)
 
-    def test_update_takes_finite_states_outside_the_unit_interval(self):
-        # the leaf's strength of -800 or 800 drives the center's aggregate
-        # past either end of the exp range, where the Euler-based influence
-        # saturates
+    @pytest.mark.parametrize("strength", [800.0, -800.0, 1.5])
+    def test_update_refuses_states_outside_the_unit_interval(self, strength):
+        # the state is refused as a state, not blamed on the spec (under
+        # dfq the leaf's 1.5 would give an aggregate outside [-kappa, kappa])
         bag = generate_star(1, 0.9, 0.9)
-        assert update(bag, euler_semantics(), [0.5, 800.0]).tolist() == [
-            0.81, 0.9]
-        assert update(bag, euler_semantics(), [0.5, -800.0]).tolist() == [
-            1.0, 0.9]
+        message = f"a strength must be in [0, 1], got {strength!r}"
+        for spec in (euler_semantics(), qe(1.0), dfq(1.0)):
+            for call in (lambda s: update(bag, spec, s),
+                         lambda s: verify_fixed_point(bag, spec, s, 1e-3)):
+                with pytest.raises(ValueError) as err:
+                    call(np.array([0.5, strength]))
+                assert str(err.value) == message
 
     def test_infinite_aggregates_saturate(self):
         assert influence(qe(1.0), 0.5, float("inf")) == 1.0
