@@ -4,25 +4,20 @@ Acyclic graphs are solved exactly in one pass along a topological order,
 cyclic ones by the iterative solvers in ``continuous``. Per argument, the
 product of the aggregation's and the influence's Lipschitz constants is the
 contraction certificate's factor (all below 1: an a-priori iteration count
-for any accuracy); with the aggregation's codomain bound instead, it bounds
-how far the final strength can move from the weight: the paper's tradeoff.
+for any accuracy; below 1 at the largest indegree and weight 1: the paper's
+indegree condition); with the aggregation's codomain bound instead, it
+bounds how far the final strength can move from the weight: the tradeoff.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import Bag, max_indegree, topological_levels
+from .core import Bag, topological_levels
 from .semantics import (
-    CONSTANT,
-    EULER,
-    LINEAR,
-    PMAX,
-    PRODUCT,
-    TOP,
     SemanticsSpec,
     codomain_bound,
     lipschitz_aggregation,
@@ -30,6 +25,10 @@ from .semantics import (
     update_levels,
     validate_spec,
 )
+
+# A product rounds at most four times (1 - w, p m, / kappa, x constant), by
+# a relative 2**-53 each, so below 1 / _MARGIN it is exactly below 1 too
+_MARGIN = 1.0 + 2.0 ** -50
 
 
 class CyclicGraphError(ValueError):
@@ -62,13 +61,14 @@ class ConvergenceCertificate:
 
     Each entry is the product of the aggregation constant (grows with
     indegree) and the influence constant for that argument's weight. When the
-    maximum stays below 1 the map is a contraction: the fixed point is unique
-    and ``iterations_for(eps)`` update steps provably land within eps of it.
+    maximum stays below 1 (by a margin of 2**-50 for rounding) the map is a
+    contraction: the fixed point is unique and ``iterations_for(eps)``
+    update steps provably land within eps of it.
 
-    ``rule`` names what guarantees convergence: a max-indegree rule
-    (``"constant-influence"``, ``"top+euler"`` or
-    ``"indegree:<aggregation>+<influence>"``) when one applies,
-    ``"contraction"`` when only the per-argument products do, and ``"none"``
+    ``rule`` names what guarantees convergence:
+    ``"indegree:<aggregation>+<influence>"`` when the product stays below 1
+    at the largest indegree and weight 1, so any weights on these edges are
+    certified; ``"contraction"`` when only these weights are; ``"none"``
     when nothing is guaranteed (the run may still converge).
     """
 
@@ -85,7 +85,7 @@ class ConvergenceCertificate:
         if not self.guaranteed:
             raise ValueError(
                 "no contraction certificate: the Lipschitz product reaches "
-                f"{self.global_lambda:g} >= 1, so no iteration bound exists"
+                f"{self.global_lambda!r}, not below 1, so no bound exists"
             )
         if self.global_lambda == 0.0:
             return 1
@@ -93,41 +93,31 @@ class ConvergenceCertificate:
         return math.floor(math.log(epsilon) / math.log(self.global_lambda)) + 1
 
 
-def _indegree_rule(spec: SemanticsSpec, d: int) -> Optional[str]:
-    # The max-indegree corollaries: each bounds every per-argument lambda by
-    # d times the influence constant, so they only name cases that the
-    # certificate decides anyway.
-    if spec.influence == CONSTANT:
-        return "constant-influence"
-    if (spec.aggregation, spec.influence) == (TOP, EULER):
-        return "top+euler"
-    limit = {(PRODUCT, LINEAR): spec.kappa, (PRODUCT, EULER): 4.0}.get(
-        (spec.aggregation, spec.influence))
-    if spec.influence == PMAX and spec.aggregation != TOP:
-        limit = spec.kappa / spec.p  # p is only checked for pmax
-    if limit is not None and d < limit:
-        return f"indegree:{spec.aggregation}+{spec.influence}"
-    return None
-
-
-def _lipschitz_products(bag: Bag, spec: SemanticsSpec,
-                        constant: Callable) -> np.ndarray:
-    # constant(spec, indegree) * lipschitz_influence(spec, weight), and 0
-    # without parents, where it could be 0 * inf (a subnormal kappa) = NaN
-    validate_spec(bag, spec)
-    degree = np.diff(bag.indptr)
+def _lipschitz_products(spec: SemanticsSpec, constant: Callable, degree,
+                        weights) -> np.ndarray:
+    # constant(spec, degree) * lipschitz_influence(spec, weights), scalars or
+    # arrays, and 0 without parents, where 0 * inf (a subnormal kappa) = NaN
     return np.multiply(constant(spec, degree),
-                       lipschitz_influence(spec, bag.weights),
-                       out=np.zeros(bag.n), where=degree > 0)
+                       lipschitz_influence(spec, weights),
+                       out=np.zeros(np.shape(degree)), where=degree > 0)
 
 
 def certify(bag: Bag, spec: SemanticsSpec) -> ConvergenceCertificate:
     """Compute the contraction certificate for (bag, spec)."""
-    lams = _lipschitz_products(bag, spec, lipschitz_aggregation)
+    validate_spec(bag, spec)
+    degree = np.diff(bag.indptr)
+    lams = _lipschitz_products(spec, lipschitz_aggregation, degree,
+                               bag.weights)
     global_lambda = float(lams.max(initial=0.0))
-    guaranteed = global_lambda < 1.0
-    rule = ((_indegree_rule(spec, max_indegree(bag)) or "contraction")
-            if guaranteed else "none")
+    guaranteed = global_lambda * _MARGIN < 1.0
+    # every aggregation constant grows with the indegree, and every
+    # influence constant peaks at weight 1 (and 0): the largest product
+    # that any weights on these edges can give
+    worst = _lipschitz_products(spec, lipschitz_aggregation,
+                                degree.max(initial=0), 1.0)
+    rule = (f"indegree:{spec.aggregation}+{spec.influence}"
+            if worst * _MARGIN < 1.0 else
+            "contraction" if guaranteed else "none")
     return ConvergenceCertificate(lams, global_lambda, guaranteed, rule)
 
 
@@ -145,7 +135,11 @@ class OpenMindednessBound:
     upper: np.ndarray
 
     def contains(self, strengths: np.ndarray, slack: float = 1e-12) -> bool:
+        """Whether every argument's strength is in its interval."""
         s = np.asarray(strengths, dtype=float)
+        if s.shape != self.lower.shape:
+            raise ValueError(f"expected a state of {self.lower.size} "
+                             f"strengths, got shape {s.shape}")
         return bool(np.all(s >= self.lower - slack)
                     and np.all(s <= self.upper + slack))
 
@@ -154,5 +148,7 @@ def open_mindedness_bound(bag: Bag, spec: SemanticsSpec) -> OpenMindednessBound:
     """Intervals [w_i - B_i*l_i, w_i + B_i*l_i] bounding any final strength
     ([w_i, w_i] for a parentless argument). Under ``sum`` aggregation B_i is
     the indegree, so the radii are the certificate's per-argument factors."""
-    radii = _lipschitz_products(bag, spec, codomain_bound)
+    validate_spec(bag, spec)
+    radii = _lipschitz_products(spec, codomain_bound, np.diff(bag.indptr),
+                                bag.weights)
     return OpenMindednessBound(bag.weights - radii, bag.weights + radii)

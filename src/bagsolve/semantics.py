@@ -293,11 +293,14 @@ def influence(spec: SemanticsSpec, w, a) -> float | np.ndarray:
     ``w`` unchanged. The linear influence is only defined for |a| <= kappa
     and raises otherwise (validate_spec rules that out for well-configured
     runs). A weight outside [0, 1] or NaN, or a NaN aggregate, raises
-    ValueError; an infinite aggregate saturates.
+    ValueError; an infinite aggregate saturates, but at kappa = inf, where
+    a / kappa is undefined, it raises ValueError for linear and pmax.
     """
     w, a = np.broadcast_arrays(np.asarray(w, float), np.asarray(a, float))
     _refuse("a weight must be in [0, 1]", w, (w >= 0.0) & (w <= 1.0))
     _refuse("an aggregate must not be NaN", a, a == a)
+    if spec.influence in (LINEAR, PMAX) and spec.kappa == np.inf:
+        _refuse("an aggregate must be finite at kappa = inf", a, np.isfinite(a))
     out = _influence(spec, w.ravel(), a.ravel())
     return _same_shape(out.reshape(w.shape))
 

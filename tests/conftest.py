@@ -58,6 +58,15 @@ def specs(draw, influences=INFL_KINDS, max_parents: int = 6):
     return SemanticsSpec(agg, infl, kappa=kappa, p=p)
 
 
+def edges_of(bag: Bag) -> dict:
+    """The attacks ("att") and the supports ("sup") of ``bag``, each as an
+    array of (source, target) rows."""
+    target = np.repeat(np.arange(bag.n), np.diff(bag.indptr))
+    attack = bag.sign < 0.0
+    return {sign: np.column_stack((bag.src[picked], target[picked]))
+            for sign, picked in (("att", attack), ("sup", ~attack))}
+
+
 def random_bag(rng: np.random.Generator, n_max: int = 10,
                acyclic: bool = False, max_parents: int = 3) -> Bag:
     """Seeded random bag for deterministic 50-graph sweeps."""

@@ -302,6 +302,14 @@ class TestOpenMindedness:
         assert bound.lower[2:].tolist() == [-np.inf] * (bag.n - 2)
         assert bound.upper[2:].tolist() == [np.inf] * (bag.n - 2)
 
+    @pytest.mark.parametrize("state", [0.5, [0.5], [0.5] * 5, [[0.5] * 4]])
+    def test_contains_refuses_a_state_of_the_wrong_shape(self, state):
+        # four arguments: a scalar or a short state used to broadcast
+        bound = open_mindedness_bound(generate_star(3, 0.5, 0.5), qe(1.0))
+        with pytest.raises(ValueError, match="expected a state of 4 "):
+            bound.contains(state)
+        assert bound.contains([0.5] * 4)
+
     def test_constant_influence_pins_everything(self):
         bag = generate_family(2, 0.3, 0.7)
         bound = open_mindedness_bound(bag, SemanticsSpec("sum", "constant"))

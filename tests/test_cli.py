@@ -523,7 +523,25 @@ class TestCertify:
                          "--p", "0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.splitlines()[-1] == "rule: contraction"
+        assert out.splitlines()[-1] == "rule: indegree:sum+euler"
+
+    @pytest.mark.parametrize("semantics, kappa", [("dfq", "49"),
+                                                  ("qe", "98")])
+    def test_exact_product_of_one_is_not_guaranteed(self, tmp_path, capsys,
+                                                    semantics, kappa):
+        # 49 * (1 / 49) rounds to 0.9999999999999999, so the printed lambda
+        # is 1.000000, and no iteration count is printed for it
+        path = str(tmp_path / "star.bag")
+        assert cli.main(["generate", "star", "49", "1.0", "0.5",
+                         "--output", path]) == 0
+        code = cli.main(["certify", path, "--semantics", semantics,
+                         "--kappa", kappa])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "global-lambda: 1.000000" in out
+        assert "guaranteed: no" in out
+        assert "iterations-for" not in out
+        assert out.splitlines()[-1] == "rule: none"
 
 
 class TestGenerate:

@@ -1,14 +1,17 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bagsolve import (
     Bag,
     CyclicGraphError,
     Outcome,
+    SemanticsConfigError,
     SemanticsSpec,
     certify,
     dfq,
@@ -21,10 +24,12 @@ from bagsolve import (
     qe,
     solve_acyclic,
     update,
+    validate_spec,
 )
-from conftest import bags, random_bag, specs
+from conftest import bags, edges_of, random_bag, specs
 
 FAMILY = generate_family(1, 0.9, 0.1)
+MARGIN = 1.0 + 2.0 ** -50  # certify's allowance for the product's rounding
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -258,15 +263,16 @@ class TestGuaranteeByCorollary:
     def test_top_euler_always_guaranteed(self):
         result = certify(FAMILY, SemanticsSpec("top", "euler"))
         assert result.guaranteed
-        assert result.rule == "top+euler"
+        assert result.rule == "indegree:top+euler"
 
     def test_constant_influence_trivially_guaranteed(self):
         result = certify(FAMILY, SemanticsSpec("sum", "constant"))
         assert result.guaranteed
-        assert result.rule == "constant-influence"
+        assert result.rule == "indegree:sum+constant"
 
     def test_general_contraction_fallback(self):
-        result = certify(FAMILY, SemanticsSpec("top", "pmax", kappa=5.0, p=2))
+        # min(2, 2) * 2 / 4 reaches 1 at weight 1, but 0.9 and 0.1 certify
+        result = certify(FAMILY, SemanticsSpec("top", "pmax", kappa=4.0, p=2))
         assert result.guaranteed
         assert result.rule == "contraction"
 
@@ -275,7 +281,83 @@ class TestGuaranteeByCorollary:
         # a rule is named exactly when convergence is guaranteed
         result = certify(bag, spec)
         assert (result.rule != "none") == result.guaranteed
-        assert result.guaranteed == (result.global_lambda < 1.0)
+        assert result.guaranteed == (result.global_lambda * MARGIN < 1.0)
+
+    @given(bags(), specs())
+    def test_rule_reads_the_product_at_weight_one(self, bag, spec):
+        # indegree: certified for any weights on these edges, so for the
+        # worst, every weight 1; contraction: for these weights only
+        result = certify(bag, spec)
+        edges = edges_of(bag)
+        at_one = Bag(bag.names, [1.0] * bag.n, edges["att"], edges["sup"])
+        anyhow = certify(at_one, spec).guaranteed
+        assert result.rule.startswith("indegree:") == anyhow
+        assert result.rule in (
+            f"indegree:{spec.aggregation}+{spec.influence}", "contraction",
+            "none")
+        if result.rule == "contraction":
+            assert result.guaranteed and not anyhow
+        if result.rule == "none":
+            assert not result.guaranteed
+
+
+def exact_lambda(bag: Bag, spec: SemanticsSpec) -> Fraction:
+    """The largest per-argument Lipschitz product in exact arithmetic."""
+    largest = Fraction(0)
+    for d, w in zip(np.diff(bag.indptr).tolist(), bag.weights.tolist()):
+        if not d:
+            continue
+        m = max(Fraction(w), 1 - Fraction(w))
+        influence = {"linear": m / Fraction(spec.kappa),
+                     "pmax": spec.p * m / Fraction(spec.kappa),
+                     "euler": Fraction(1, 4), "constant": Fraction(0)}
+        agg = min(d, 2) if spec.aggregation == "top" else d
+        largest = max(largest, agg * influence[spec.influence])
+    return largest
+
+
+class TestRoundingMargin:
+    """A product rounds, so certify decides with a margin of 2**-50: no
+    certificate is issued where the exact product is 1 or more, and none is
+    refused more than a few ulps below 1."""
+
+    @staticmethod
+    def assert_exact(bag, spec):
+        cert, exact = certify(bag, spec), exact_lambda(bag, spec)
+        assert cert.guaranteed == (exact < 1) or abs(exact - 1) < 2 ** -48
+        if cert.guaranteed:
+            assert exact < 1
+
+    @given(bags(), specs())
+    def test_random_bags(self, bag, spec):
+        self.assert_exact(bag, spec)
+
+    @given(st.integers(1, 200), st.sampled_from(["sum", "product"]),
+           st.sampled_from(["linear", "pmax"]), st.integers(1, 3),
+           st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]),
+           st.integers(-2, 2))
+    @settings(max_examples=300)
+    def test_products_next_to_one(self, k, agg, infl, p, w, ulps):
+        # kappa within two ulps of the float k * p * max(w, 1 - w), so that
+        # the exact product is 1 or a few ulps from it
+        kappa = k * max(w, 1.0 - w) * (p if infl == "pmax" else 1)
+        for _ in range(abs(ulps)):
+            kappa = math.nextafter(kappa, math.copysign(math.inf, ulps))
+        bag, spec = generate_star(k, w, 0.5), SemanticsSpec(agg, infl, kappa, p)
+        try:
+            validate_spec(bag, spec)
+        except SemanticsConfigError:  # sum + linear with kappa below k
+            assume(False)
+        self.assert_exact(bag, spec)
+
+    @pytest.mark.parametrize("spec", [dfq(49.0), qe(98.0)], ids=["dfq", "qe"])
+    def test_star_49_at_an_exact_product_of_one(self, spec):
+        # 49 * (1 / 49) rounds to 0.9999999999999999
+        cert = certify(generate_star(49, 1.0, 0.5), spec)
+        assert cert.global_lambda == 0.9999999999999999
+        assert not cert.guaranteed and cert.rule == "none"
+        with pytest.raises(ValueError, match="no contraction certificate"):
+            cert.iterations_for(1e-6)
 
 
 class TestContractionBound:

@@ -30,20 +30,11 @@ from bagsolve import (
     solve,
     solve_acyclic,
 )
-from conftest import bags, random_bag, specs
+from conftest import bags, edges_of, random_bag, specs
 
 DUAL_INFLUENCES = ("linear", "pmax", "constant")
 # small budgets: the identity holds at every step, so no run need converge
 BUDGET = dict(delta=0.1, t_max=10.0, max_iterations=30)
-
-
-def edges_of(bag: Bag) -> dict:
-    """The attacks ("att") and the supports ("sup") of ``bag``, each as an
-    array of (source, target) rows."""
-    target = np.repeat(np.arange(bag.n), np.diff(bag.indptr))
-    attack = bag.sign < 0.0
-    return {sign: np.column_stack((bag.src[picked], target[picked]))
-            for sign, picked in (("att", attack), ("sup", ~attack))}
 
 
 def mirrored(bag: Bag) -> Bag:

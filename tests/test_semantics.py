@@ -203,6 +203,19 @@ class TestDomain:
                     call(np.array([0.5, strength]))
                 assert str(err.value) == message
 
+    @pytest.mark.parametrize("spec", [dfq(float("inf")), qe(float("inf"))],
+                             ids=["linear", "pmax"])
+    @pytest.mark.parametrize("a", [float("inf"), -float("inf")])
+    def test_influence_refuses_infinite_aggregates_at_infinite_kappa(
+            self, spec, a):
+        # a / kappa is inf / inf there, which gave NaN; a finite aggregate
+        # still leaves w where it is
+        with pytest.raises(ValueError) as err:
+            influence(spec, [0.5, 0.5], [0.0, a])
+        assert str(err.value) == (
+            f"an aggregate must be finite at kappa = inf, got {a!r}")
+        assert influence(spec, 0.5, 3.0) == 0.5
+
     def test_infinite_aggregates_saturate(self):
         assert influence(qe(1.0), 0.5, float("inf")) == 1.0
         assert influence(euler_semantics(), 0.5, -float("inf")) == 0.25
