@@ -22,6 +22,7 @@ import numpy as np
 from .core import Bag
 from .semantics import (
     LINEAR,
+    PMAX,
     SemanticsSpec,
     aggregate,
     influence,
@@ -138,9 +139,11 @@ def _aggregation_draw(*states: str):
 
 def _influence_draw(spec: SemanticsSpec, *names: str):
     # w and the aggregates ``names`` in the influence's domain, and within
-    # max/2, so that rng.uniform's 2 * span is finite
-    span = (min(spec.kappa, sys.float_info.max / 2)
-            if spec.influence == LINEAR else 10.0)
+    # max/2, so that rng.uniform's 2 * span is finite. pmax reads a / kappa
+    # and is steepest where that is of order 1, so its span grows with kappa
+    span = {LINEAR: spec.kappa, PMAX: 10.0 * max(spec.kappa, 1.0)}.get(
+        spec.influence, 10.0)
+    span = min(span, sys.float_info.max / 2)
     return lambda rng: {"w": rng.random(), **{
         name: rng.uniform(-span, span) for name in names}}
 

@@ -38,6 +38,9 @@ from .semantics import (AGGREGATIONS, INFLUENCES, PRESETS,
 # the most edges `generate` builds: while it builds them they take about 85 B
 # each, and about 160 B each while serialize_bag writes them out
 MAX_GENERATED_EDGES = 10**6
+# the most trials `check duality|lipschitz` runs: a trial of both checks
+# costs 6-11 us on one Xeon core, so the cap is one to two minutes
+MAX_TRIALS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,6 +194,9 @@ def _check_pair(args, spec: SemanticsSpec) -> int:
     # duality or lipschitz: runs analysis.check_<prop>_aggregation and
     # analysis.check_<prop>_influence
     prop = args.property
+    if args.trials > MAX_TRIALS:  # refused before any trial runs
+        raise ValueError(f"{args.trials} trials, more than the cap of "
+                         f"{MAX_TRIALS}")
     reports = {part: getattr(analysis, f"check_{prop}_{part}")(
         spec, args.trials, args.seed) for part in ("aggregation", "influence")}
     for part, report in reports.items():
@@ -278,7 +284,9 @@ def build_parser() -> _Parser:
     p_check.add_argument("input", nargs="?",
                          help="BAG file (open-mindedness only)")
     _add_semantics_flags(p_check)
-    p_check.add_argument("--trials", type=int, default=analysis.DEFAULT_TRIALS)
+    p_check.add_argument("--trials", type=int, default=analysis.DEFAULT_TRIALS,
+                         help="samples per check (duality, lipschitz); "
+                              f"at most {MAX_TRIALS:,}")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check)
 

@@ -59,10 +59,22 @@ class Trajectory:
 
     ``times`` holds the iteration index for discrete runs and continuous time
     for integrator runs; the first sample is always (0, initial weights).
+    Times never decrease, at construction as in ``append``, and lists of
+    times and states of unequal length are refused with ValueError.
     """
 
     times: list[float] = field(default_factory=list)
     states: list[np.ndarray] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # one state per time, and the given rows go through append's rule
+        if len(self.times) != len(self.states):
+            raise ValueError(f"{len(self.times)} times but "
+                             f"{len(self.states)} states")
+        rows = zip(self.times, self.states)
+        self.times, self.states = [], []
+        for t, state in rows:
+            self.append(t, state)
 
     def append(self, t: float, state: np.ndarray) -> None:
         if self.times and t < self.times[-1]:

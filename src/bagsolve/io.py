@@ -90,9 +90,12 @@ def parse_bag(source: Union[str, IO[str]]) -> Bag:
     statement (statements that share one long line stay in one chunk).
     Each chunk's names become integer indices before the next chunk is
     read, so only about one chunk's strings are alive at a time, and the
-    edges reach ``Bag`` as (k, 2) index arrays. Raises BagParseError carrying
-    one line/column-anchored diagnostic per problem found; parsing continues
-    past errors so several can be reported at once.
+    edges reach ``Bag`` as (k, 2) index arrays. The parser itself refuses
+    only a statement its grammar does not match; whether the graph is
+    valid (declared names, weights in [0, 1], no duplicate argument, no
+    edge both attack and support) is for ``Bag`` alone to decide. Either
+    way BagParseError carries one line/column-anchored diagnostic per
+    problem in the whole text, so several can be reported at once.
     """
     text = source if isinstance(source, str) else source.read()
     if text.startswith("\ufeff"):
@@ -118,19 +121,18 @@ def parse_bag(source: Union[str, IO[str]]) -> Bag:
         declared.append(ids.declare(decl))
         attacks.append(ids.refer(att_src, att_dst))
         supports.append(ids.refer(sup_src, sup_dst))
-    # provisional id -> declaration order; -1 for a name never declared
+    # provisional id -> declaration order; -1 for a name never declared,
+    # an index that Bag refuses as a missing argument
     index = np.full(next(ids.counter), -1, dtype=np.intp)
     del ids  # names holds the strings: the table is not needed in Bag
     index[np.concatenate(declared)] = np.arange(len(names))
     # (k, 2) argument indices, as views of (2, k) arrays
     attacks = index[np.concatenate(attacks, axis=1)].T
     supports = index[np.concatenate(supports, axis=1)].T
-    if min(attacks.min(initial=0), supports.min(initial=0)) >= 0:  # declared
-        try:
-            return Bag(names, np.concatenate(weights), attacks, supports)
-        except BagValidationError:
-            pass  # Bag refused the graph
-    raise BagParseError(_diagnose(text))
+    try:
+        return Bag(names, np.concatenate(weights), attacks, supports)
+    except BagValidationError:  # Bag refused the graph: say where and why
+        raise BagParseError(_diagnose(text)) from None
 
 
 class _Ids(dict):
@@ -174,7 +176,8 @@ def _chunks(text: str) -> Iterator[str]:
 def _diagnose(text: str) -> list[ParseDiagnostic]:
     # Every problem in text (comments blanked), in the order: malformed
     # statements, then declarations, then edges. parse_bag calls this only
-    # when a check failed, and each check has its diagnostic here.
+    # on a malformed statement or when Bag refused the graph, and each of
+    # Bag's refusals has its diagnostic here.
     diagnostics: list[ParseDiagnostic] = []
     line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
 
@@ -276,9 +279,13 @@ def write_trajectory_csv(
     (``t`` alone, and rows of the time alone, for no names).
 
     Values carry full round-trip precision. ``sink`` may be a path or an open
-    text stream. A name outside ``[A-Za-z_][A-Za-z0-9_]*`` raises ValueError
-    before anything is written.
+    text stream. A name outside ``[A-Za-z_][A-Za-z0-9_]*``, a state of
+    another arity, or lists of times and states of unequal length raise
+    ValueError before anything is written.
     """
+    if len(trajectory.states) != len(trajectory):
+        raise ValueError(f"{len(trajectory)} times but "
+                         f"{len(trajectory.states)} states")
     if len(trajectory) == 0:
         raise ValueError("refusing to write an empty trajectory")
     _check_names(names)

@@ -264,6 +264,37 @@ class TestNaNFails:
                 plain.uniform(-kappa, kappa)]
 
 
+class TestPmaxDraws:
+    """pmax aggregates are drawn over a span that grows with kappa."""
+
+    @pytest.mark.parametrize("kappa", [100.0, 1e6])
+    def test_draws_reach_the_steep_part_at_large_kappa(self, monkeypatch,
+                                                        kappa):
+        # aggregates were drawn in [-10, 10] whatever kappa, so under qe(100)
+        # a/kappa stayed within 0.1 of 0, far from where h' peaks, and a
+        # constant ten times too small passed
+        true = analysis.lipschitz_influence
+        monkeypatch.setattr(analysis, "lipschitz_influence",
+                            lambda spec, w: true(spec, w) / 10)
+        assert not check_lipschitz_influence(qe(kappa)).passed
+
+    @pytest.mark.parametrize("kappa", [100.0, 1e6, np.inf])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_true_constant_passes_at_large_kappa(self, kappa, p):
+        spec = SemanticsSpec("sum", "pmax", kappa=kappa, p=p)
+        assert check_lipschitz_influence(spec).passed
+        assert check_duality_influence(spec).passed
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    def test_draws_at_small_kappa_are_unchanged(self, kappa):
+        draw = analysis._influence_draw(qe(kappa), "a1", "a2")
+        ours, plain = random.Random(4), random.Random(4)
+        for _ in range(100):
+            assert list(draw(ours).values()) == [
+                plain.random(), plain.uniform(-10.0, 10.0),
+                plain.uniform(-10.0, 10.0)]
+
+
 class TestDualArgumentPairs:
     @pytest.mark.parametrize("spec", [dfq(1.0), qe(1.0)])
     def test_mirrored_pairs_sum_to_one(self, spec):

@@ -345,6 +345,26 @@ class TestBadInput:
         assert captured.err == "error: trials must be >= 1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("prop", ["duality", "lipschitz"])
+    def test_property_check_over_the_trials_cap(self, capsys, monkeypatch,
+                                                prop):
+        # 10^12 trials ran for months; the cap is refused before any trial
+        for part in ("aggregation", "influence"):
+            monkeypatch.setattr(cli.analysis, f"check_{prop}_{part}",
+                                lambda *args: pytest.fail("a check ran"))
+        for trials in (cli.MAX_TRIALS + 1, 10**12):
+            code = cli.main(["check", prop, "--semantics", "dfq",
+                             "--trials", str(trials)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == (f"error: {trials} trials, more than the "
+                                    f"cap of {cli.MAX_TRIALS}\n")
+            assert captured.out == ""
+
+    def test_trials_cap_is_in_the_help(self, capsys):
+        cli.main(["check", "--help"])
+        assert f"{cli.MAX_TRIALS:,}" in capsys.readouterr().out
+
     def test_step_too_small_to_move_the_state(self, family_file):
         # 0.9 + 1e-300 * k rounds back to 0.9, so the run can never reach
         # t_max or converge; it must stop instead of looping forever

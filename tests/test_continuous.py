@@ -316,6 +316,21 @@ class TestResultObjects:
         assert trajectory.times == [1.0, 1.0]
         assert len(trajectory.states) == 2
 
+    def test_constructor_keeps_the_rule_of_append(self):
+        with pytest.raises(ValueError, match="time must be nondecreasing, "
+                                             "got 0.0 after 1.0"):
+            Trajectory([1.0, 0.0], [np.array([0.5]), np.array([0.5])])
+        trajectory = Trajectory([0, 1], [[0.5], np.array([0.25])])
+        assert trajectory.times == [0.0, 1.0]
+        assert [s.tolist() for s in trajectory.states] == [[0.5], [0.25]]
+
+    @pytest.mark.parametrize("times,states", [([0.0, 1.0], [[0.5]]),
+                                              ([0.0], [[0.5], [0.25]])])
+    def test_constructor_needs_one_state_per_time(self, times, states):
+        with pytest.raises(ValueError, match=f"{len(times)} times but "
+                                             f"{len(states)} states"):
+            Trajectory(times, states)
+
 
 class TestVerifyFixedPoint:
     def test_rk4_limit_is_a_fixed_point(self):

@@ -544,6 +544,25 @@ class TestTrajectoryCsv:
             write_trajectory_csv(traj, ["a"], target)
         assert not target.exists()
 
+    @pytest.mark.parametrize("times,states,match", [
+        ([0.0, 1.0], [[0.5]], "2 times but 1 states"),  # a state short
+        ([1.0, 0.0], [[0.5], [0.5]], "nondecreasing")])  # time runs backwards
+    def test_malformed_trajectory_writes_no_file(self, tmp_path, times,
+                                                 states, match):
+        target = tmp_path / "run.csv"
+        with pytest.raises(ValueError, match=match):
+            write_trajectory_csv(Trajectory(times, states), ["a"], target)
+        assert not target.exists()
+
+    def test_lists_made_unequal_after_construction_are_refused(self):
+        traj = Trajectory()
+        traj.append(0, [0.5])
+        traj.times.append(1.0)
+        out = stdio.StringIO()
+        with pytest.raises(ValueError, match="2 times but 1 states"):
+            write_trajectory_csv(traj, ["a"], out)
+        assert out.getvalue() == ""
+
     def test_header_names_are_format_names(self):
         # a comma in a name would shift every column after it
         traj = Trajectory()
