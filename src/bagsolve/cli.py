@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``solve`` a BAG file, ``certify`` its contraction bound,
-``generate`` benchmark graphs, and ``check`` semantic properties. Exit codes:
-0 for converged/pass, 2 for diverged/budget-exhausted/fail, 1 for usage,
-parse, or configuration errors.
+``generate family|star K W1 W2`` or ``generate duality-fixture`` benchmark
+graphs, and ``check duality|lipschitz`` or ``check open-mindedness BAG``
+semantic properties. Each form has its own parser, holding exactly the
+arguments it reads, so any other argument is a usage error. Exit codes: 0 for
+converged/pass, 2 for diverged/budget-exhausted/fail, 1 for usage, parse, or
+configuration errors.
 """
 from __future__ import annotations
 
@@ -158,30 +161,18 @@ def cmd_certify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    kind = args.kind
-    params = args.params
-    try:
-        if kind == "duality-fixture":
-            if params:
-                raise ValueError("duality-fixture takes no parameters")
-            bag = analysis.fixture_duality_bag()
-        else:
-            k, w1, w2 = params  # exactly three, or a ValueError
-            k, w1, w2 = int(k), float(w1), float(w2)
-            # refused before any edge is built: a family of k = 10^8 would
-            # fill the memory with 4·10^16 edge tuples (the generators
-            # refuse k < 1 themselves)
-            edges = 4 * k * k if kind == "family" else k
-            if k > 0 and edges > MAX_GENERATED_EDGES:
-                raise ValueError(f"{edges} edges, more than the cap of "
-                                 f"{MAX_GENERATED_EDGES}")
-            generate = (analysis.generate_family if kind == "family"
-                        else analysis.generate_star)
-            bag = generate(k, w1, w2)
-    except ValueError as exc:
-        print(f"generate {kind}: bad parameters {params}: {exc}", file=sys.stderr)
-        return 1
-
+    if args.kind == "duality-fixture":
+        bag = analysis.fixture_duality_bag()
+    else:
+        # refused before any edge is built: a family of k = 10^8 would fill
+        # the memory with 4·10^16 edge tuples (the generators refuse k < 1
+        # themselves)
+        edges = 4 * args.k * args.k if args.kind == "family" else args.k
+        if args.k > 0 and edges > MAX_GENERATED_EDGES:
+            raise ValueError(f"{edges} edges, more than the cap of "
+                             f"{MAX_GENERATED_EDGES}")
+        generate = getattr(analysis, f"generate_{args.kind}")
+        bag = generate(args.k, args.w1, args.w2)
     text = serialize_bag(bag)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -190,10 +181,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _check_pair(args, spec: SemanticsSpec) -> int:
+def _check_pair(args) -> int:
     # duality or lipschitz: runs analysis.check_<prop>_aggregation and
     # analysis.check_<prop>_influence
     prop = args.property
+    spec = _build_spec(args)
     if args.trials > MAX_TRIALS:  # refused before any trial runs
         raise ValueError(f"{args.trials} trials, more than the cap of "
                          f"{MAX_TRIALS}")
@@ -206,11 +198,8 @@ def _check_pair(args, spec: SemanticsSpec) -> int:
     return 0 if ok else 2
 
 
-def _check_open_mindedness(args, spec: SemanticsSpec) -> int:
-    if not args.input:
-        print("check open-mindedness: an input BAG file is required",
-              file=sys.stderr)
-        return 1
+def _check_open_mindedness(args) -> int:
+    spec = _build_spec(args)
     bag = _load_bag(args.input)
     bound = discrete.open_mindedness_bound(bag, spec)
     _, result = continuous.solve(bag, spec, record_trajectory=False)
@@ -223,13 +212,6 @@ def _check_open_mindedness(args, spec: SemanticsSpec) -> int:
     ok = bound.contains(result.strengths)
     print(f"open-mindedness: {'pass' if ok else 'fail'}")
     return 0 if ok else 2
-
-
-def cmd_check(args) -> int:
-    spec = _build_spec(args)
-    if args.property == "open-mindedness":
-        return _check_open_mindedness(args, spec)
-    return _check_pair(args, spec)
 
 
 def build_parser() -> _Parser:
@@ -269,26 +251,35 @@ def build_parser() -> _Parser:
     p_cert.set_defaults(func=cmd_certify)
 
     p_gen = sub.add_parser("generate", help="emit benchmark BAG files")
-    p_gen.add_argument("kind", choices=("family", "star", "duality-fixture"))
-    p_gen.add_argument("params", nargs="*",
-                       help="family: K VA VB (4*K^2 edges); star: K W_CENTER "
-                            f"W_LEAF (K edges); at most {MAX_GENERATED_EDGES:,} "
-                            "edges")
-    p_gen.add_argument("--output", metavar="PATH",
-                       help="write here instead of stdout")
+    kinds = p_gen.add_subparsers(dest="kind", required=True)
+    for kind, edges, (w1, w2) in (("family", "4*K^2", ("VA", "VB")),
+                                  ("star", "K", ("W_CENTER", "W_LEAF"))):
+        p_kind = kinds.add_parser(kind)
+        p_kind.add_argument("k", metavar="K", type=int,
+                            help=f"{edges} edges, at most "
+                                 f"{MAX_GENERATED_EDGES:,}")
+        p_kind.add_argument("w1", metavar=w1, type=float)
+        p_kind.add_argument("w2", metavar=w2, type=float)
+    kinds.add_parser("duality-fixture")
+    for p_kind in kinds.choices.values():
+        p_kind.add_argument("--output", metavar="PATH",
+                            help="write here instead of stdout")
     p_gen.set_defaults(func=cmd_generate)
 
     p_check = sub.add_parser("check", help="run a semantic property check")
-    p_check.add_argument("property",
-                         choices=("duality", "open-mindedness", "lipschitz"))
-    p_check.add_argument("input", nargs="?",
-                         help="BAG file (open-mindedness only)")
-    _add_semantics_flags(p_check)
-    p_check.add_argument("--trials", type=int, default=analysis.DEFAULT_TRIALS,
-                         help="samples per check (duality, lipschitz); "
-                              f"at most {MAX_TRIALS:,}")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.set_defaults(func=cmd_check)
+    props = p_check.add_subparsers(dest="property", required=True)
+    for prop in ("duality", "lipschitz"):
+        p_prop = props.add_parser(prop)
+        _add_semantics_flags(p_prop)
+        p_prop.add_argument("--trials", type=int,
+                            default=analysis.DEFAULT_TRIALS,
+                            help=f"samples per check; at most {MAX_TRIALS:,}")
+        p_prop.add_argument("--seed", type=int, default=0)
+        p_prop.set_defaults(func=_check_pair)
+    p_open = props.add_parser("open-mindedness")
+    p_open.add_argument("input", help="BAG file ('-' for stdin)")
+    _add_semantics_flags(p_open)
+    p_open.set_defaults(func=_check_open_mindedness)
 
     return parser
 

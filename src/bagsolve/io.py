@@ -203,17 +203,17 @@ def _diagnose(text: str) -> list[ParseDiagnostic]:
 
     declared: set[str] = set()
     for offset, name, weight_text in arg_stmts:
-        if name in declared:
-            error(offset, f"duplicate declaration of argument {name!r}")
-            continue
         if not 0.0 <= float(weight_text) <= 1.0:
             error(offset, f"weight {weight_text} of argument {name!r} "
                           f"outside [0,1]")
+        if name in declared:
+            error(offset, f"duplicate declaration of argument {name!r}")
         declared.add(name)  # known despite a bad weight, so edges resolve
 
     relations: dict[str, set[tuple[str, str]]] = {"att": set(), "sup": set()}
     for offset, kind, src, dst in edge_stmts:
-        missing = [n for n in (src, dst) if n not in declared]
+        # an edge from an argument to itself names it once
+        missing = [n for n in dict.fromkeys((src, dst)) if n not in declared]
         if missing:
             for n in missing:
                 error(offset, f"edge references undeclared argument {n!r}")

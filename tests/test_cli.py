@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -362,8 +363,38 @@ class TestBadInput:
             assert captured.out == ""
 
     def test_trials_cap_is_in_the_help(self, capsys):
-        cli.main(["check", "--help"])
-        assert f"{cli.MAX_TRIALS:,}" in capsys.readouterr().out
+        for prop in ("duality", "lipschitz"):
+            cli.main(["check", prop, "--help"])
+            assert f"{cli.MAX_TRIALS:,}" in capsys.readouterr().out
+
+    def test_open_mindedness_help_lists_no_trials(self, capsys):
+        assert cli.main(["check", "open-mindedness", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--semantics" in out
+        assert "--trials" not in out and "--seed" not in out
+
+    @pytest.mark.parametrize("command", [
+        ["check", "open-mindedness", "BAG", "--semantics", "qe",
+         "--trials", "3"],
+        ["check", "open-mindedness", "BAG", "--semantics", "qe",
+         "--seed", "7"],
+        ["check", "duality", "BAG", "--semantics", "dfq"],
+        ["check", "lipschitz", "BAG", "--semantics", "qe"],
+        ["generate", "star", "3", "0.9"],
+        ["generate", "family", "1.5", "0.9", "0.1"],
+        ["generate", "duality-fixture", "3"]])
+    def test_form_refuses_an_argument_it_does_not_read(
+            self, star_file, capsys, command):
+        # each form parses exactly its own arguments, so a missing,
+        # mistyped or extra one is a usage error, not dropped
+        argv = [star_file if a == "BAG" else a for a in command]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage: bagsolve")
+        assert ": error: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_step_too_small_to_move_the_state(self, family_file):
         # 0.9 + 1e-300 * k rounds back to 0.9, so the run can never reach
@@ -592,9 +623,22 @@ class TestGenerate:
             capsys.readouterr()
             assert cli.main(["generate", kind, *params]) == 1
             captured = capsys.readouterr()
-            assert captured.err.startswith(
-                f"generate {kind}: bad parameters {params}: ")
+            assert captured.err.startswith("usage: bagsolve")
+            assert captured.err.endswith(
+                "error: unrecognized arguments: junk\n")
             assert captured.out == ""
+
+    @pytest.mark.parametrize("params, message", [
+        (["star", "0", "0.9", "0.9"], "k must be >= 1, got 0"),
+        (["family", "-3", "0.9", "0.1"], "k must be >= 1, got -3"),
+        (["family", "1", "1.5", "0.1"],
+         "weights outside [0,1] for arguments ['a1']")])
+    def test_generator_refusal_is_one_error_line(self, capsys, params,
+                                                 message):
+        assert cli.main(["generate", *params]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("kind, k, edges", [
         ("family", "100000000", 4 * 10**16), ("star", "1000001", 1000001)])
@@ -606,8 +650,8 @@ class TestGenerate:
         assert cli.main(["generate", kind, k, "0.9", "0.1"]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            f"generate {kind}: bad parameters {[k, '0.9', '0.1']}: {edges} "
-            f"edges, more than the cap of {cli.MAX_GENERATED_EDGES}\n")
+            f"error: {edges} edges, more than the cap of "
+            f"{cli.MAX_GENERATED_EDGES}\n")
         assert captured.out == ""
 
     def test_family_at_the_edge_cap(self, tmp_path):
@@ -682,6 +726,17 @@ class TestCheck:
                          "--semantics", "euler"])
         assert code == 0
         assert "open-mindedness: pass" in capsys.readouterr().out
+
+    def test_open_mindedness_reads_stdin(self, star_file, capsys,
+                                         monkeypatch):
+        argv = ["check", "open-mindedness", star_file, "--semantics", "qe"]
+        assert cli.main(argv) == 0
+        from_file = capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO(Path(star_file).read_text()))
+        argv[2] = "-"
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == from_file
 
     def test_open_mindedness_needs_input(self, capsys):
         code = cli.main(["check", "open-mindedness", "--semantics", "euler"])

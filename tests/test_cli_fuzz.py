@@ -96,21 +96,29 @@ def certify_argv(input_path: str):
 
 
 def check_argv(input_path: str):
-    # no trial count past a few: a passing check runs every trial
-    return joined(
-        st.sampled_from(["duality", "lipschitz", "open-mindedness"]).map(
+    # each property with the arguments its form takes; no trial count past
+    # a few: a passing check runs every trial
+    sampled = joined(
+        st.sampled_from(["duality", "lipschitz"]).map(
             lambda prop: ["check", prop]),
-        st.sampled_from([[input_path], []]), semantics_flags(),
-        flag("--trials", "1", "3"), flag("--seed", "0", "7"))
+        semantics_flags(), flag("--trials", "1", "3"),
+        flag("--seed", "0", "7"))
+    solved = joined(st.just(["check", "open-mindedness", input_path]),
+                    semantics_flags())
+    return st.one_of(sampled, solved)
 
 
 def generate_argv(out_dir: Path):
-    # no k past 3, short of the edge cap, which allows 10^6 edges
-    return joined(
+    # each kind with the parameters its form takes; no k past 3, short of
+    # the edge cap, which allows 10^6 edges
+    output = flag("--output", str(out_dir / "g.bag"), str(out_dir))
+    sized = joined(
         st.sampled_from(["family", "star"]).map(lambda kind: ["generate", kind]),
         st.tuples(st.sampled_from(["1", "3"]),
                   *[st.sampled_from(["0.9", "0.1", "0.5"])] * 2).map(list),
-        flag("--output", str(out_dir / "g.bag"), str(out_dir)))
+        output)
+    return st.one_of(sized, joined(st.just(["generate", "duality-fixture"]),
+                                   output))
 
 
 @st.composite

@@ -92,6 +92,13 @@ PINNED_DIAGNOSTICS = {
         (1, 1, "edge references undeclared argument 'x'"),
         (1, 1, "edge references undeclared argument 'y'"),
     ]),
+    "undeclared-self-support": ("arg(a,0.5).\nsup(x,x).", [
+        (2, 1, "edge references undeclared argument 'x'"),
+    ]),
+    "duplicate-weight-above-one": ("arg(a,0.5). arg(a,2).", [
+        (1, 13, "weight 2 of argument 'a' outside [0,1]"),
+        (1, 13, "duplicate declaration of argument 'a'"),
+    ]),
     "collision": ("arg(a,0.5). arg(b,0.5).\natt(a,b).\nsup(a,b).", [
         (3, 1, COLLISION),
     ]),
